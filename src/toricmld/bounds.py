@@ -45,7 +45,7 @@ from .fibration import (
     validate_morphism,
 )
 from .intlinalg import Vec, is_zero
-from .singularities import MINUS_INFINITY, log_discrepancy, mld_at_cone
+from .singularities import MINUS_INFINITY, mld_at_cone
 
 Rat = Fraction | int
 
@@ -351,6 +351,7 @@ def verify_lc_complement_theorem(
     )
     bprime = divisor(src, coeffs)
     measurements.append(("augmented_coeffs", coeffs))
+    a = log_discrepancy_function(src, bprime)
     worst = None
     worst_at = None
     for c in src.max_cones:
@@ -364,7 +365,7 @@ def verify_lc_complement_theorem(
             sgens = tuple(gens[i] for i in simplex)
             points.extend(p for p, _ in box_points(sgens, src.rank) if not is_zero(p))
         for p in points:
-            val = log_discrepancy(src, bprime, p)
+            val = a(p)
             if worst is None or val < worst:
                 worst, worst_at = val, p
     claims = (("lc_after_adding_delta_fiber", worst is not None and worst >= 0),)

@@ -5,18 +5,29 @@ with the ambient dimension (generators alone cannot tell the dimension when
 the tuple is empty).  H-representations are {x : E x = 0, F x >= 0} with
 integer primitive rows, computed by facet enumeration inside the span, and
 cached on the (gens, dim) key.
+
+Box points (the lattice points of a half-open parallelepiped spanned by
+independent generators) are enumerated with integer residues over the Smith
+form of the generator matrix, as Normaliz does: with U V W = D and N the
+largest invariant factor, each coset of the lattice modulo the generators
+gives one residue vector k = W (s_i N / D_i) mod N, and the point is
+Σ k_i g_i / N.  No rational solve is done per point; every point is still
+checked in integers (exact division by N, 0 <= k_i < N, one distinct point
+per coset).
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .errors import NotACone
 from .intlinalg import (
     Mat,
     Vec,
+    det,
     dot,
     identity,
     invert_rational,
@@ -29,8 +40,6 @@ from .intlinalg import (
     smith_normal_form,
     solve_exact,
     transpose,
-    unimodular_inverse,
-    vec_sub,
 )
 
 
@@ -228,43 +237,60 @@ def barycentric(gens: tuple[Vec, ...], x):
     return sol
 
 
-def _box_points_full(vmat: Mat):
-    """Lattice points of {V t : t ∈ [0,1)^d} for nonsingular square V (columns)."""
+def _box_residues(vmat: Mat):
+    """Integer residues of the lattice points of {V t : t ∈ [0,1)^d}.
+
+    V is nonsingular square (columns are the generators).  With U V W = D
+    the Smith form and N = D[-1] the exponent of Z^d / V Z^d, the coset of
+    U^{-1} s (0 <= s_i < D_i) meets the box at V t with t = k / N, where
+    k = W (s_i N / D_i) mod N.  Returns N and the residue vectors k in the
+    order of itertools.product over s, built one coordinate of s at a time.
+    """
     d = len(vmat)
-    dmat, u, _ = smith_normal_form(vmat)
+    dmat, _, w = smith_normal_form(vmat)
     diag = [dmat[i][i] for i in range(d)]
-    uinv = unimodular_inverse(u)
-    vinv = invert_rational(vmat)
-    pts = []
-    for s in product(*(range(di) for di in diag)):
-        x = mat_vec(uinv, s)
-        t = mat_vec(vinv, x)
-        shift = mat_vec(vmat, tuple(math.floor(ti) for ti in t))
-        pts.append(vec_sub(x, shift))
-    expected = 1
-    for di in diag:
-        expected *= di
-    if len(set(pts)) != expected:
-        raise AssertionError("parallelepiped enumeration lost coset representatives")
-    return pts
+    n = diag[-1]
+    residues = [(0,) * d]
+    for i, di in enumerate(diag):
+        if di == 1:
+            continue
+        # column i of W, scaled by N / D_i, is the residue step of s_i
+        step = tuple(w[r][i] * (n // di) for r in range(d))
+        residues = [
+            tuple((a + j * b) % n for a, b in zip(k, step))
+            for k in residues
+            for j in range(di)
+        ]
+    return n, residues
 
 
 def box_points(gens: tuple[Vec, ...], dim: int):
     """Lattice points of the half-open parallelepiped {Σ t_i g_i : t ∈ [0,1)},
-    as (point, coefficients) pairs; gens must be linearly independent."""
+    as (point, coefficients) pairs; gens must be linearly independent.
+
+    Each point is Σ k_i g_i / N for the integer residues k of _box_residues,
+    so its coefficients are k_i / N.  The self-checks stay in integers: the
+    division by N is exact, 0 <= k_i < N, and there are |det| pairwise
+    distinct points, one per coset of the lattice modulo the generators.
+    """
     d = len(gens)
     if d == 0:
         return (((0,) * dim, ()),)
     if rank(tuple(gens)) != d:
         raise NotACone("parallelepiped needs independent generators")
     basis = span_lattice_basis(gens, dim)
-    gens_d = tuple(span_coordinates(basis, g) for g in gens)
-    vmat = transpose(gens_d)
+    vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
+    n, residues = _box_residues(vmat)
+    cols = transpose(gens)
+    fracs = [Fraction(i, n) for i in range(n)]
     out = []
-    for x_d in _box_points_full(vmat):
-        x = tuple(sum(x_d[i] * basis[i][j] for i in range(d)) for j in range(dim))
-        coeffs = barycentric(gens, x)
-        if coeffs is None or any(c < 0 or c >= 1 for c in coeffs):
+    for k in residues:
+        if not all(0 <= ki < n for ki in k):
             raise AssertionError("box point fell outside the half-open box")
-        out.append((x, coeffs))
+        nums = [sum(map(mul, col, k)) for col in cols]
+        if any(v % n for v in nums):
+            raise AssertionError("box point is not a lattice point")
+        out.append((tuple(v // n for v in nums), tuple(fracs[ki] for ki in k)))
+    if len({x for x, _ in out}) != abs(det(vmat)):
+        raise AssertionError("parallelepiped enumeration lost coset representatives")
     return tuple(out)

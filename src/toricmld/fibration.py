@@ -22,7 +22,7 @@ from .errors import (
     NotRelTrivial,
     ValidationError,
 )
-from .fans import Fan, fan, is_cone_of, locate, point_fan
+from .fans import Fan, fan, is_cone_of, point_fan
 from .intlinalg import (
     Mat,
     Vec,
@@ -274,9 +274,20 @@ class Indeterminate:
 RelMldResult = Exact | CertifiedAtLeast | Witness | Indeterminate
 
 
-def _maps_into_relint(f: ToricMorphism, tau: tuple[int, ...], x) -> bool:
-    loc = locate(f.target, f.apply(x))
-    return loc is not None and loc.cone == tau
+def _relint_test(f: ToricMorphism, teq, tineq):
+    """Predicate x -> phi(x) in relint(tau), for tau = {E y = 0, F y >= 0}.
+
+    The rows are pulled back once to E M and F M.  Relative interiors of the
+    cones of a fan partition its support, so this is the same test as
+    ``locate(f.target, f.apply(x)).cone == tau``.
+    """
+    eq_src = [vec_mat(m, f.matrix) for m in teq]
+    ineq_src = [vec_mat(m, f.matrix) for m in tineq]
+
+    def test(x) -> bool:
+        return all(dot(m, x) == 0 for m in eq_src) and all(dot(m, x) > 0 for m in ineq_src)
+
+    return test
 
 
 def _pick_witness(cands):
@@ -310,6 +321,7 @@ def relative_mld(
     a = log_discrepancy_function(src, b)
     tgens = f.target.cone_gens(tau_z)
     teq, tineq = cones.hrep(tgens, nz)
+    maps_into_relint = _relint_test(f, teq, tineq)
 
     # cones whose image meets relint(tau_z), with a lifted lattice witness
     relevant = []
@@ -352,7 +364,7 @@ def relative_mld(
     if all(v > 0 for v in ray_vals):
         cands = [(cap, (_norm_key(wit0), wit0))]
         for x, val in sublevel_points(src, a, cap):
-            if _maps_into_relint(f, tau_z, x):
+            if maps_into_relint(x):
                 cands.append((val, (_norm_key(x), x)))
         value, wit = _pick_witness(cands)
         assert is_primitive(wit)
@@ -414,7 +426,7 @@ def relative_mld(
                     for n, g in zip(ns, sgens):
                         if n:
                             x = vec_add(x, vec_scale(n, g))
-                    if is_zero(x) or not _maps_into_relint(f, tau_z, x):
+                    if is_zero(x) or not maps_into_relint(x):
                         continue
                     found.append((Fraction(dot(fn, x)), (_norm_key(x), x)))
                 if budget <= 0:

@@ -27,20 +27,12 @@ QVec = tuple[Fraction, ...]
 QMat = tuple[tuple[Fraction, ...], ...]
 
 
-def vec(items) -> Vec:
-    return tuple(int(x) for x in items)
-
-
 def mat(rows) -> Mat:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zero_vec(n: int) -> Vec:
-    return (0,) * n
 
 
 def transpose(m):

@@ -1,10 +1,25 @@
 """Shared fixture builders for the test suite."""
 
+import math
 import random
+from itertools import product
 
+from toricmld.cones import barycentric, span_coordinates, span_lattice_basis
+from toricmld.divisors import ToricDivisor, divisor
+from toricmld.errors import NotACone
 from toricmld.fans import Fan, fan, star_subdivision
 from toricmld.fibration import ToricMorphism, morphism
-from toricmld.intlinalg import identity, mat_vec, primitive
+from toricmld.intlinalg import (
+    identity,
+    invert_rational,
+    mat_vec,
+    primitive,
+    rank,
+    smith_normal_form,
+    transpose,
+    unimodular_inverse,
+    vec_sub,
+)
 
 
 def p2() -> Fan:
@@ -92,6 +107,15 @@ def random_unimodular(rng: random.Random, n: int):
     return tuple(tuple(row) for row in m)
 
 
+def random_gl(rng: random.Random, n: int):
+    """A random element of GL_n(Z): random_unimodular, with its first row
+    negated half of the time so that both orientations occur."""
+    u = random_unimodular(rng, n)
+    if rng.random() < 0.5:
+        u = (tuple(-x for x in u[0]),) + u[1:]
+    return u
+
+
 def random_support_point(rng: random.Random, f: Fan):
     cone = rng.choice([c for c in f.max_cones if c])
     while True:
@@ -128,5 +152,63 @@ def random_fan(rng: random.Random, max_rank: int = 3, subdivisions: int = 3) -> 
     f = rng.choice(pool)()
     for _ in range(rng.randrange(subdivisions + 1)):
         f = star_subdivision(f, random_support_point(rng, f))
-    u = random_unimodular(rng, f.rank)
+    return twist_fan(f, random_unimodular(rng, f.rank))
+
+
+def twist_fan(f: Fan, u) -> Fan:
+    """The fan f in the coordinates x -> u x, for a unimodular u."""
     return fan(f.rank, [mat_vec(u, r) for r in f.rays], f.max_cones)
+
+
+def twist_divisor(b: ToricDivisor, u) -> ToricDivisor:
+    """The divisor b carried ray by ray onto twist_fan(b.fan, u)."""
+    tw = twist_fan(b.fan, u)
+    by_ray = {mat_vec(u, r): c for r, c in zip(b.fan.rays, b.coeffs)}
+    return divisor(tw, [by_ray[r] for r in tw.rays])
+
+
+def _reference_box_points_full(vmat):
+    """Coset representatives of Z^d / V Z^d, each reduced into the half-open
+    box by a rational solve (V square nonsingular, columns)."""
+    d = len(vmat)
+    dmat, u, _ = smith_normal_form(vmat)
+    diag = [dmat[i][i] for i in range(d)]
+    uinv = unimodular_inverse(u)
+    vinv = invert_rational(vmat)
+    pts = []
+    for s in product(*(range(di) for di in diag)):
+        x = mat_vec(uinv, s)
+        t = mat_vec(vinv, x)
+        shift = mat_vec(vmat, tuple(math.floor(ti) for ti in t))
+        pts.append(vec_sub(x, shift))
+    return pts
+
+
+def reference_box_points(gens, dim: int):
+    """Fraction reference for cones.box_points: same points, same order,
+    coefficients from an exact rational solve per point."""
+    d = len(gens)
+    if d == 0:
+        return (((0,) * dim, ()),)
+    if rank(tuple(gens)) != d:
+        raise NotACone("parallelepiped needs independent generators")
+    basis = span_lattice_basis(gens, dim)
+    gens_d = tuple(span_coordinates(basis, g) for g in gens)
+    out = []
+    for x_d in _reference_box_points_full(transpose(gens_d)):
+        x = tuple(sum(x_d[i] * basis[i][j] for i in range(d)) for j in range(dim))
+        out.append((x, barycentric(gens, x)))
+    return tuple(out)
+
+
+def gens_with_invariant_factors(rng: random.Random, factors, dim: int):
+    """Independent generators in Z^dim whose lattice of span coordinates has
+    Smith invariant factors `factors` (a divisibility chain): the columns of
+    U diag(factors) W, embedded by part of a unimodular basis of Z^dim."""
+    d = len(factors)
+    u, w = random_unimodular(rng, d), random_unimodular(rng, d)
+    v = [[sum(u[i][k] * factors[k] * w[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    emb = random_unimodular(rng, dim)
+    return tuple(
+        tuple(sum(emb[r][i] * v[i][j] for i in range(d)) for r in range(dim)) for j in range(d)
+    )

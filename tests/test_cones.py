@@ -1,9 +1,14 @@
+import math
+import operator
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import gens_with_invariant_factors, reference_box_points
 from toricmld.cones import (
     barycentric,
     box_points,
@@ -18,7 +23,7 @@ from toricmld.cones import (
     triangulate,
 )
 from toricmld.errors import NotACone
-from toricmld.intlinalg import dot
+from toricmld.intlinalg import dot, rank
 from toricmld.ratlp import Optimal, cone_lp, solve_min
 
 
@@ -158,3 +163,45 @@ def test_box_count_is_index(gens):
     for p, c in pts:
         assert all(0 <= t < 1 for t in c)
         assert tuple(sum(c[i] * g[j] for i, g in enumerate(gens)) for j in range(dim)) == p
+
+
+def _assert_same_as_reference(gens, dim):
+    new = box_points(gens, dim)
+    ref = reference_box_points(gens, dim)
+    assert new == ref
+    # Fractions compare by value; the reprs pin the exact reduced form too
+    assert [repr(c) for _, c in new] == [repr(c) for _, c in ref]
+
+
+@settings(max_examples=120, deadline=None)
+@given(gen_sets(dim_max=4, n_max=4))
+def test_box_points_match_fraction_reference(gens):
+    """Residue enumeration equals the Fraction path, point for point and in
+    order, on full-rank and lower-dimensional generator sets."""
+    if rank(gens) != len(gens):
+        return
+    _assert_same_as_reference(gens, len(gens[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_box_points_match_reference_repeated_factors(steps, extra_dim, seed):
+    """Generators whose Smith form has repeated invariant factors, e.g.
+    (2, 2) or (1, 3, 3), in a span of dimension d inside Z^(d + extra_dim)."""
+    factors = list(accumulate(steps, operator.mul))
+    dim = len(factors) + extra_dim
+    gens = gens_with_invariant_factors(random.Random(seed), factors, dim)
+    _assert_same_as_reference(gens, dim)
+    assert len(box_points(gens, dim)) == math.prod(factors)
+
+
+def test_box_points_repeated_factor_examples():
+    # det 4 with invariant factors (2, 2): the four half-lattice corners
+    pts = box_points(((2, 0), (0, 2)), 2)
+    assert [p for p, _ in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    _assert_same_as_reference(((2, 0), (0, 2)), 2)
+    _assert_same_as_reference(((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)), 4)

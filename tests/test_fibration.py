@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     a1,
@@ -10,10 +12,15 @@ from helpers import (
     identity_morphism,
     p1,
     p2,
+    random_fan,
+    random_gl,
     random_unimodular,
     to_a1,
     product_fan,
+    twist_divisor,
+    twist_fan,
 )
+from toricmld.cones import hrep
 from toricmld.divisors import boundary_divisor, divisor, zero_divisor
 from toricmld.errors import (
     DomainError,
@@ -22,8 +29,10 @@ from toricmld.errors import (
     NotRelTrivial,
     ValidationError,
 )
-from toricmld.fans import fan, point_fan
+from toricmld.fans import fan, locate, point_fan
 from toricmld.fibration import (
+    _faces_of,
+    _relint_test,
     CertifiedAtLeast,
     Exact,
     Indeterminate,
@@ -37,7 +46,7 @@ from toricmld.fibration import (
     relative_mld,
     validate_morphism,
 )
-from toricmld.intlinalg import mat_mul, unimodular_inverse
+from toricmld.intlinalg import mat_mul, mat_vec, unimodular_inverse
 from toricmld.singularities import MINUS_INFINITY, global_mld
 
 
@@ -277,3 +286,75 @@ class TestRelativeMld:
             relative_mld(f, zero_divisor(f.source), (), 1)
         with pytest.raises(NotACone):
             relative_mld(f, zero_divisor(f.source), (0, 1), 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_relint_test_matches_locate(seed):
+    """The pulled-back H-representation test that relative_mld uses agrees
+    with locate on the target fan, for every nonempty cone of a random fan.
+    The source is the target in other coordinates, so the pull-back through
+    the matrix is exercised too."""
+    rng = random.Random(seed)
+    tgt = random_fan(rng)
+    n = tgt.rank
+    u = random_gl(rng, n)
+    f = morphism(unimodular_inverse(u), twist_fan(tgt, u), tgt)
+    taus = sorted(
+        {
+            tuple(c[i] for i in face)
+            for c in tgt.max_cones
+            for face in _faces_of(tgt.cone_gens(c), n)
+            if face
+        }
+    )
+    ys = [(0,) * n] + [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
+    for tau in taus:
+        gens = tgt.cone_gens(tau)
+        ys.append(tuple(sum(rng.randint(1, 3) * g[j] for g in gens) for j in range(n)))
+    located = [(mat_vec(u, y), locate(tgt, y)) for y in ys]
+    for tau in taus:
+        in_relint = _relint_test(f, *hrep(tgt.cone_gens(tau), n))
+        for x, loc in located:
+            assert in_relint(x) == (loc is not None and loc.cone == tau)
+
+
+def _rel_mld_cases():
+    """(morphism, boundary, base cone, eps) reaching each Exact path: the
+    sublevel enumeration, the LP bound, the capped search and -infinity."""
+    ex13 = ex13_r1_q2()
+    p1a1_src = p1a1()
+    toward = [1 if r == (-1, 0) else 0 for r in ex13.rays]
+    above_one = [2 if r == (1, 0) else 0 for r in p1a1_src.rays]
+    return [
+        (to_a1(ex13), zero_divisor(ex13), (0,), Fraction(1, 2)),
+        (to_a1(p1a1_src), boundary_divisor(p1a1_src), (0,), Fraction(1, 2)),
+        (identity_morphism(p2()), zero_divisor(p2()), (0,), 1),
+        (to_a1(ex13), divisor(ex13, toward), (0,), Fraction(1, 2)),
+        (to_a1(p1a1_src), divisor(p1a1_src, above_one), (0,), Fraction(1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_rel_mld_cases())))
+def test_relative_mld_coordinate_invariant(case):
+    """GL(Z) changes of coordinates on source and target leave every Exact
+    relative mld value unchanged.  These cones are simplicial, so the search
+    radius caps multiples of the cone generators, which a change of
+    coordinates carries along; a small radius keeps the search case cheap."""
+    rng = random.Random(case)
+    f, b, tau, eps = _rel_mld_cases()[case]
+    res = relative_mld(f, b, tau, eps, radius=100)
+    assert isinstance(res, Exact)
+    for _ in range(4):
+        u, w = random_gl(rng, f.source.rank), random_gl(rng, f.target.rank)
+        moved_b = twist_divisor(b, u)
+        moved_tgt = twist_fan(f.target, w)
+        g = morphism(
+            mat_mul(mat_mul(w, f.matrix), unimodular_inverse(u)), moved_b.fan, moved_tgt
+        )
+        moved_tau = tuple(
+            sorted(moved_tgt.rays.index(mat_vec(w, f.target.rays[i])) for i in tau)
+        )
+        moved = relative_mld(g, moved_b, moved_tau, eps, radius=100)
+        assert isinstance(moved, Exact)
+        assert moved.value == res.value

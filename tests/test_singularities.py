@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import a2, blowup_p2, ex13_r1_q2, p2, p112, p123, random_fan
+from helpers import (
+    a2,
+    blowup_p2,
+    ex13_r1_q2,
+    p2,
+    p112,
+    p123,
+    random_fan,
+    random_gl,
+    twist_divisor,
+)
 from toricmld.divisors import boundary_divisor, divisor, zero_divisor
 from toricmld.errors import DomainError, NotACone, OutsideSupport
 from toricmld.fans import Fan
@@ -204,3 +214,16 @@ def test_matches_brute_force(seed, denom):
         radius = 40  # stay cheap; still confirms no better point nearby
     val, wit = brute_force_mld_in_ball(f, b, radius)
     assert val == rep.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_global_mld_coordinate_invariant(seed):
+    """A GL_n(Z) change of coordinates (orientation reversing too) leaves the
+    global mld unchanged."""
+    rng = random.Random(seed)
+    f = random_fan(rng, max_rank=3, subdivisions=2)
+    coeffs = [rng.choice([0, Fraction(1, 3), Fraction(1, 2), 1, 2]) for _ in f.rays]
+    b = divisor(f, coeffs)
+    moved = twist_divisor(b, random_gl(rng, f.rank))
+    assert global_mld(moved.fan, moved).value == global_mld(f, b).value
