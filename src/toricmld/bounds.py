@@ -17,6 +17,7 @@ from math import factorial
 
 from .cones import box_points, contains, triangulate
 from .divisors import (
+    PLFunction,
     ToricDivisor,
     divisor,
     log_discrepancy_function,
@@ -38,13 +39,13 @@ from .fibration import (
     Witness,
     average_boundary,
     discriminant_divisor,
-    lc_threshold_over,
+    lc_thresholds,
     morphism,
     pullback_multiplicities,
     relative_mld,
     validate_morphism,
 )
-from .intlinalg import Vec, is_zero
+from .intlinalg import Vec, dot, is_zero
 from .singularities import MINUS_INFINITY, mld_at_cone
 
 Rat = Fraction | int
@@ -283,10 +284,7 @@ def verify_adjunction_theorem(
         # triviality over the base is inherited by refinements, so only the
         # per-ray thresholds need recomputing on the finer fan
         lifted = ToricMorphism(matrix=f.matrix, source=f.source, target=sub)
-        disc2 = divisor(
-            sub,
-            [1 - lc_threshold_over(lifted, gamma, i) for i in range(len(sub.rays))],
-        )
+        disc2 = divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])
         idx = sub.rays.index(p)
         rep2 = mld_at_cone(sub, disc2, (idx,))
         label = "probe_" + ",".join(str(x) for x in p)
@@ -351,23 +349,7 @@ def verify_lc_complement_theorem(
     )
     bprime = divisor(src, coeffs)
     measurements.append(("augmented_coeffs", coeffs))
-    a = log_discrepancy_function(src, bprime)
-    worst = None
-    worst_at = None
-    for c in src.max_cones:
-        gens = src.cone_gens(c)
-        imgs = tuple(f.apply(g) for g in gens)
-        imgs = tuple(g for g in imgs if not is_zero(g))
-        if not contains(imgs, f.target.rank, w):
-            continue
-        points = list(gens)
-        for simplex in triangulate(gens, src.rank):
-            sgens = tuple(gens[i] for i in simplex)
-            points.extend(p for p, _ in box_points(sgens, src.rank) if not is_zero(p))
-        for p in points:
-            val = a(p)
-            if worst is None or val < worst:
-                worst, worst_at = val, p
+    worst, worst_at = _fiber_cones_minimum(f, log_discrepancy_function(src, bprime), w)
     claims = (("lc_after_adding_delta_fiber", worst is not None and worst >= 0),)
     measurements.append(("minimum_log_discrepancy_found", worst))
     if worst_at is not None:
@@ -378,6 +360,35 @@ def verify_lc_complement_theorem(
         measurements=tuple(measurements),
         witnesses=tuple(witnesses),
     )
+
+
+def _fiber_cones_minimum(f: ToricMorphism, a: PLFunction, w: Vec):
+    """Least value of A, and the first point attaining it, over the
+    generators and nonzero box points of each source cone whose image
+    contains w; (None, None) when no cone qualifies.  Each point is
+    evaluated with the numerators of the cone being scanned, which agree
+    with A's value there because A matches on shared faces."""
+    src = f.source
+    den, nums = a.integral()
+    worst = None
+    worst_at = None
+    for c, m in zip(src.max_cones, nums):
+        gens = src.cone_gens(c)
+        imgs = tuple(f.apply(g) for g in gens)
+        imgs = tuple(g for g in imgs if not is_zero(g))
+        if not contains(imgs, f.target.rank, w):
+            continue
+        points = list(gens)
+        for simplex in triangulate(gens, src.rank):
+            sgens = tuple(gens[i] for i in simplex)
+            points.extend(p for p, _ in box_points(sgens, src.rank) if not is_zero(p))
+        for p in points:
+            n = dot(m, p)
+            if worst is None or n < worst:
+                worst, worst_at = n, p
+    if worst is None:
+        return None, None
+    return Fraction(worst, den), worst_at
 
 
 @dataclass(frozen=True)

@@ -95,18 +95,14 @@ def _load_divisor(arg: str, f: Fan) -> ToricDivisor:
     return obj
 
 
-def _cone(text: str) -> tuple[int, ...]:
+def _int_list(text: str, error: str = "expected comma-separated integers") -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
-        raise ParseError(f"cone indices must be integers, got {text!r}") from None
+        raise ParseError(f"{error}, got {text!r}") from None
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
+_CONE_ERROR = "cone indices must be integers"
 
 
 def _mld_payload(rep) -> dict:
@@ -155,7 +151,7 @@ def cmd_mld(args):
 def cmd_mld_at(args):
     f = _load_fan(args.fan)
     b = _load_divisor(args.divisor, f)
-    rep = mld_at_cone(f, b, _cone(args.cone))
+    rep = mld_at_cone(f, b, _int_list(args.cone, _CONE_ERROR))
     payload = _mld_payload(rep)
     return "ok", payload, {"witness": payload["witness"]}, 0
 
@@ -225,7 +221,8 @@ def cmd_discriminant(args):
 def cmd_rel_mld(args):
     f = _load_morphism(args.morphism)
     b = _load_divisor(args.divisor, f.source)
-    res = relative_mld(f, b, _cone(args.cone), parse_rat(args.eps), radius=args.radius)
+    cone = _int_list(args.cone, _CONE_ERROR)
+    res = relative_mld(f, b, cone, parse_rat(args.eps), radius=args.radius)
     if isinstance(res, Exact):
         payload = {
             "status": "exact",
@@ -289,7 +286,7 @@ def cmd_verify_fano(args):
     f = _load_morphism(args.morphism)
     b = _load_divisor(args.divisor, f.source)
     rep = verify_fano_contraction_theorem(
-        f, b, _cone(args.cone), parse_rat(args.eps), radius=args.radius
+        f, b, _int_list(args.cone, _CONE_ERROR), parse_rat(args.eps), radius=args.radius
     )
     wit = {name: val for name, val in rep.witnesses}
     return rep.status, _report_payload(rep), wit, _verify_exit(rep)
@@ -300,7 +297,12 @@ def cmd_verify_adjunction(args):
     b = _load_divisor(args.divisor, f.source)
     probes = tuple(_int_list(p) for p in args.probe)
     rep = verify_adjunction_theorem(
-        f, b, _cone(args.cone), parse_rat(args.eps), probes=probes, radius=args.radius
+        f,
+        b,
+        _int_list(args.cone, _CONE_ERROR),
+        parse_rat(args.eps),
+        probes=probes,
+        radius=args.radius,
     )
     wit = {name: val for name, val in rep.witnesses}
     return rep.status, _report_payload(rep), wit, _verify_exit(rep)
@@ -311,7 +313,7 @@ def cmd_verify_lc(args):
     b = _load_divisor(args.divisor, f.source)
     plus = _load_divisor(args.plus, f.source)
     rep = verify_lc_complement_theorem(
-        f, b, plus, _cone(args.cone), parse_rat(args.eps), radius=args.radius
+        f, b, plus, _int_list(args.cone, _CONE_ERROR), parse_rat(args.eps), radius=args.radius
     )
     wit = {name: val for name, val in rep.witnesses}
     return rep.status, _report_payload(rep), wit, _verify_exit(rep)

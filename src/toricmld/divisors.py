@@ -7,13 +7,14 @@ divisor itself is never materialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones
 from .errors import NotQCartier, OutsideSupport, ValidationError
 from .fans import Fan, _walls
-from .intlinalg import dot, mat_vec, solve_exact
+from .intlinalg import Vec, dot, mat_vec, solve_exact
 
 QVec = tuple[Fraction, ...]
 
@@ -49,6 +50,26 @@ class PLFunction:
 
     fan: Fan
     functionals: tuple[QVec, ...]
+
+    def integral(self, values=()) -> tuple[int, tuple[Vec, ...]]:
+        """The function as integer numerators over one denominator.
+
+        ``(den, nums)`` with ``nums[k] = den * functionals[k]``, so on the
+        k-th maximal cone the value at a lattice point x is
+        ``Fraction(dot(nums[k], x), den)``.  ``den`` is the lcm of the
+        denominators of every functional entry and of the rationals in
+        ``values``, so ``den * v`` is an integer for each of those too: pass
+        the ray values when they are compared with A's values, since a ray
+        in no maximal cone has a value the functionals do not fix.
+        """
+        den = math.lcm(
+            *(x.denominator for fn in self.functionals for x in fn),
+            *(Fraction(v).denominator for v in values),
+        )
+        nums = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in fn) for fn in self.functionals
+        )
+        return den, nums
 
     def on_cone(self, cone: tuple[int, ...]) -> QVec:
         return self.functionals[self.fan.max_cones.index(cone)]

@@ -8,12 +8,19 @@ geometry read off through the map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from . import cones
-from .divisors import ToricDivisor, divisor, log_discrepancy_function, rel_trivial_witness
+from .divisors import (
+    PLFunction,
+    ToricDivisor,
+    divisor,
+    log_discrepancy_function,
+    rel_trivial_witness,
+)
 from .errors import (
     DomainError,
     NoCone,
@@ -201,7 +208,11 @@ def pullback_multiplicities(f: ToricMorphism, w: int) -> tuple[tuple[Vec, int], 
 def lc_threshold_over(f: ToricMorphism, b: ToricDivisor, w: int) -> Fraction:
     """Largest t with (X, B + t f*D_w) log canonical over the generic point
     of D_w: the minimum of A over the fiber polytope {x in |fan|, phi(x) = w}."""
-    a = log_discrepancy_function(f.source, b)
+    return _lc_threshold(f, log_discrepancy_function(f.source, b), w)
+
+
+def _lc_threshold(f: ToricMorphism, a: PLFunction, w: int) -> Fraction:
+    """lc_threshold_over for the log discrepancy function a of the pair."""
     wv = f.target.rays[w]
     vals = []
     for c, fn in zip(f.source.max_cones, a.functionals):
@@ -221,6 +232,12 @@ def lc_threshold_over(f: ToricMorphism, b: ToricDivisor, w: int) -> Fraction:
     return min(vals)
 
 
+def lc_thresholds(f: ToricMorphism, b: ToricDivisor) -> tuple[Fraction, ...]:
+    """lc_threshold_over at every target ray, in ray order, building A once."""
+    a = log_discrepancy_function(f.source, b)
+    return tuple(_lc_threshold(f, a, w) for w in range(len(f.target.rays)))
+
+
 @dataclass(frozen=True)
 class DiscriminantResult:
     divisor: ToricDivisor
@@ -233,7 +250,7 @@ def discriminant_divisor(f: ToricMorphism, b: ToricDivisor) -> DiscriminantResul
     each target ray; the moduli part is zero for equivariant data."""
     if rel_trivial_witness(f, b) is None:
         raise NotRelTrivial("K+B is not trivial over the base")
-    ts = tuple(lc_threshold_over(f, b, w) for w in range(len(f.target.rays)))
+    ts = lc_thresholds(f, b)
     return DiscriminantResult(
         divisor=divisor(f.target, [1 - t for t in ts]),
         thresholds=ts,
@@ -319,6 +336,7 @@ def relative_mld(
         raise NotACone(f"{tau_z} is not a cone of the target fan")
     src, nz, nx = f.source, f.target.rank, f.source.rank
     a = log_discrepancy_function(src, b)
+    den, nums = a.integral()
     tgens = f.target.cone_gens(tau_z)
     teq, tineq = cones.hrep(tgens, nz)
     maps_into_relint = _relint_test(f, teq, tineq)
@@ -326,7 +344,7 @@ def relative_mld(
     # cones whose image meets relint(tau_z), with a lifted lattice witness
     relevant = []
     best = None
-    for c, fn in zip(src.max_cones, a.functionals):
+    for c, fn, num in zip(src.max_cones, a.functionals, nums):
         gens = src.cone_gens(c)
         img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
         for m in teq:
@@ -353,22 +371,23 @@ def relative_mld(
             return Exact(MINUS_INFINITY, _descend(a, v0, d))
         v0 = primitive(scale_to_integer(res.point))
         val0 = a(v0)
-        relevant.append((c, fn, gens, v0))
+        relevant.append((fn, num, gens, v0))
         if best is None or (val0, _norm_key(v0)) < best[:2]:
             best = (val0, _norm_key(v0), v0)
     if not relevant:
         raise NoCone("no cone maps onto the chosen base cone")
     cap, _, wit0 = best
+    capn = math.floor(cap * den)
 
     ray_vals = [1 - coeff for coeff in b.coeffs]
     if all(v > 0 for v in ray_vals):
-        cands = [(cap, (_norm_key(wit0), wit0))]
-        for x, val in sublevel_points(src, a, cap):
+        cands = [(capn, (_norm_key(wit0), wit0))]
+        for x, n in sublevel_points(src, a, cap):
             if maps_into_relint(x):
-                cands.append((val, (_norm_key(x), x)))
+                cands.append((n, (_norm_key(x), x)))
         value, wit = _pick_witness(cands)
         assert is_primitive(wit)
-        return Exact(value, wit)
+        return Exact(Fraction(value, den), wit)
 
     # closed-region lower bound, one LP per relevant cone
     u0 = tineq[0]
@@ -376,7 +395,7 @@ def relative_mld(
         u0 = vec_add(u0, m)
     u0_src = vec_mat(u0, f.matrix)
     lower = None
-    for c, fn, gens, v0 in relevant:
+    for fn, _, gens, v0 in relevant:
         cg = gens
         for m in teq:
             row = vec_mat(m, f.matrix)
@@ -401,19 +420,18 @@ def relative_mld(
 
     # 0 <= lower < eps: radius-capped direct search
     budget = 2_000_000
-    found = [(cap, (_norm_key(wit0), wit0))]
-    for entry in relevant:
-        c, fn, gens = entry[0], entry[1], entry[2]
+    found = [(capn, (_norm_key(wit0), wit0))]
+    for _, num, gens, _ in relevant:
         tri = cones.triangulate(gens, nx)
         for t in tri:
             sgens = tuple(gens[i] for i in t)
-            svals = [Fraction(dot(fn, g)) for g in sgens]
+            svals = [dot(num, g) for g in sgens]
             for bpt, _ in cones.box_points(sgens, nx):
-                base = Fraction(dot(fn, bpt))
+                base = dot(num, bpt)
                 ranges = []
                 for v in svals:
                     if v > 0:
-                        hi = int((cap - base) / v) if cap >= base else -1
+                        hi = (capn - base) // v if capn >= base else -1
                         hi = min(hi, radius)
                     else:
                         hi = radius
@@ -428,7 +446,7 @@ def relative_mld(
                             x = vec_add(x, vec_scale(n, g))
                     if is_zero(x) or not maps_into_relint(x):
                         continue
-                    found.append((Fraction(dot(fn, x)), (_norm_key(x), x)))
+                    found.append((dot(num, x), (_norm_key(x), x)))
                 if budget <= 0:
                     break
             if budget <= 0:
@@ -436,6 +454,7 @@ def relative_mld(
         if budget <= 0:
             break
     value, wit = _pick_witness(found)
+    value = Fraction(value, den)
     if not is_primitive(wit):
         wit = primitive(wit)
         value = a(wit)

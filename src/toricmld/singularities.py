@@ -6,10 +6,15 @@ integer combination of the generators plus a point of the half-open
 fundamental parallelepiped, so when A is positive on the rays the minimum
 is attained among ray generators and parallelepiped points, and sublevel
 regions are finite and enumerable.
+
+The scans compare integers: A is taken as integer numerators over one
+common denominator (``PLFunction.integral``), a cap becomes
+``floor(cap * den)``, and a Fraction is built only for the value returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,18 +64,19 @@ def _triangulated(f: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _simplex_points_below(f: Fan, simplex: tuple[int, ...], fn, cap: Fraction):
+def _simplex_points_below(f: Fan, simplex: tuple[int, ...], m, capn: int):
     """Lattice points x = sum n_i v_i + b of the simplicial cone with
-    fn(x) <= cap; requires fn > 0 on the simplex generators."""
+    dot(m, x) <= capn, for an integer functional m > 0 on the simplex
+    generators."""
     gens = f.cone_gens(simplex)
-    vals = [Fraction(dot(fn, g)) for g in gens]
+    vals = [dot(m, g) for g in gens]
     for b, _ in cones.box_points(gens, f.rank):
-        base = Fraction(dot(fn, b))
-        if base > cap:
+        base = dot(m, b)
+        if base > capn:
             continue
-        bounds = [int((cap - base) / v) for v in vals]
+        bounds = [(capn - base) // v for v in vals]
         for ns in product(*(range(k + 1) for k in bounds)):
-            if sum(n * v for n, v in zip(ns, vals)) + base > cap:
+            if sum(n * v for n, v in zip(ns, vals)) + base > capn:
                 continue
             x = b
             for n, g in zip(ns, gens):
@@ -80,16 +86,19 @@ def _simplex_points_below(f: Fan, simplex: tuple[int, ...], fn, cap: Fraction):
 
 
 def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
-    """All nonzero lattice points of the support with A <= cap, with their
-    values, deduplicated; A must be positive at every ray."""
+    """All nonzero lattice points of the support with A <= cap, each with
+    the numerator ``den * A(x)`` for ``den = a.integral()[0]``,
+    deduplicated; A must be positive at every ray."""
+    den, nums = a.integral()
+    capn = math.floor(cap * den)
     seen = set()
-    for c, fn, simplices in zip(f.max_cones, a.functionals, _triangulated(f)):
+    for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
-            for x in _simplex_points_below(f, simplex, fn, cap):
+            for x in _simplex_points_below(f, simplex, m, capn):
                 if is_zero(x) or x in seen:
                     continue
                 seen.add(x)
-                yield x, Fraction(dot(fn, x))
+                yield x, dot(m, x)
 
 
 def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
@@ -98,6 +107,7 @@ def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
         raise DomainError("the fan has no rays to take discrepancies along")
     a = log_discrepancy_function(f, b)
     ray_vals = [1 - c for c in b.coeffs]
+    den, nums = a.integral(ray_vals)
     count = len(f.rays)
     neg = next((i for i, v in enumerate(ray_vals) if v < 0), None)
     if neg is not None:
@@ -106,24 +116,26 @@ def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
         return (val, max(abs(t) for t in x), x)
 
     best = min(
-        (key(Fraction(v), r) for v, r in zip(ray_vals, f.rays)),
+        (key(int(v * den), r) for v, r in zip(ray_vals, f.rays)),
     )
-    for c, fn, simplices in zip(f.max_cones, a.functionals, _triangulated(f)):
+    for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
             for x, _ in cones.box_points(f.cone_gens(simplex), f.rank):
                 if is_zero(x):
                     continue
                 count += 1
-                cand = key(Fraction(dot(fn, x)), x)
-                if cand < best:
-                    best = cand
-    return MldReport(best[0], best[2], count, "exact")
+                n = dot(m, x)
+                if n <= best[0]:
+                    cand = key(n, x)
+                    if cand < best:
+                        best = cand
+    return MldReport(Fraction(best[0], den), best[2], count, "exact")
 
 
-def _cone_functional(f: Fan, a: PLFunction, tau: tuple[int, ...]):
-    for c, fn in zip(f.max_cones, a.functionals):
+def _cone_numerators(f: Fan, nums, tau: tuple[int, ...]):
+    for c, m in zip(f.max_cones, nums):
         if set(tau) <= set(c):
-            return fn
+            return m
     raise NotACone(f"{tau} is not contained in a maximal cone")
 
 
@@ -142,35 +154,36 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...], zero_cap: int = 3
     if not is_cone_of(f, tau):
         raise NotACone(f"{tau} is not a cone of the fan")
     a = log_discrepancy_function(f, b)
-    fn = _cone_functional(f, a, tau)
+    den, nums = a.integral()
+    m = _cone_numerators(f, nums, tau)
     gens = f.cone_gens(tau)
-    vals = [Fraction(dot(fn, g)) for g in gens]
+    vals = [dot(m, g) for g in gens]
     count = 0
 
     if any(v < 0 for v in vals):
         g_neg = gens[next(i for i, v in enumerate(vals) if v < 0)]
         p0 = cones.relint_point(gens)
         w = p0
-        while Fraction(dot(fn, w)) >= 0:
+        while dot(m, w) >= 0:
             w = vec_add(w, g_neg)
         return MldReport(MINUS_INFINITY, w, 1, "minus_infinity")
 
     p0 = cones.relint_point(gens)
-    cap = Fraction(dot(fn, p0))
-    best_val, best_wit = cap, p0
+    capn = dot(m, p0)
+    best_n, best_wit = capn, p0
     tri = cones.triangulate(gens, f.rank)
     simplices = [tuple(tau[i] for i in t) for t in tri]
 
     if all(v > 0 for v in vals):
         for simplex in simplices:
-            for x in _simplex_points_below(f, simplex, fn, cap):
+            for x in _simplex_points_below(f, simplex, m, capn):
                 if is_zero(x) or not cones.relint_contains(gens, f.rank, x):
                     continue
                 count += 1
-                val = Fraction(dot(fn, x))
-                if val < best_val:
-                    best_val, best_wit = val, x
-        return MldReport(best_val, best_wit, count, "exact")
+                n = dot(m, x)
+                if n < best_n:
+                    best_n, best_wit = n, x
+        return MldReport(Fraction(best_n, den), best_wit, count, "exact")
 
     # some generators sit at level zero: the closed infimum comes from the
     # parallelepiped scan, attainment is probed with capped coefficients on
@@ -179,13 +192,13 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...], zero_cap: int = 3
     found = None
     for simplex in simplices:
         sgens = f.cone_gens(simplex)
-        svals = [Fraction(dot(fn, g)) for g in sgens]
+        svals = [dot(m, g) for g in sgens]
         for bpt, _ in cones.box_points(sgens, f.rank):
-            base = Fraction(dot(fn, bpt))
+            base = dot(m, bpt)
             ranges = []
             for v in svals:
                 if v > 0:
-                    hi = int((cap - base) / v) if cap >= base else -1
+                    hi = (capn - base) // v if capn >= base else -1
                 else:
                     hi = zero_cap
                 ranges.append(range(hi + 1))
@@ -197,14 +210,14 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...], zero_cap: int = 3
                 if is_zero(x):
                     continue
                 count += 1
-                val = Fraction(dot(fn, x))
                 if not cones.relint_contains(gens, f.rank, x):
                     continue
-                if val < best_val:
-                    best_val, best_wit = val, x
-                if val == closed and (found is None):
+                n = dot(m, x)
+                if n < best_n:
+                    best_n, best_wit = n, x
+                if n == 0 and found is None:
                     found = x
-    if best_val == closed or found is not None:
+    if best_n == 0 or found is not None:
         wit = found if found is not None else best_wit
         return MldReport(closed, wit, count, "exact")
     return MldReport(closed, None, count, "zero_on_boundary_infimum")

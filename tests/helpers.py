@@ -2,24 +2,56 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
-from toricmld.cones import barycentric, span_coordinates, span_lattice_basis
-from toricmld.divisors import ToricDivisor, divisor
-from toricmld.errors import NotACone
-from toricmld.fans import Fan, fan, star_subdivision
-from toricmld.fibration import ToricMorphism, morphism
+from toricmld.cones import (
+    barycentric,
+    box_points,
+    contains,
+    cut,
+    hrep,
+    relint_contains,
+    relint_point,
+    span_coordinates,
+    span_lattice_basis,
+    triangulate,
+)
+from toricmld.divisors import ToricDivisor, divisor, log_discrepancy_function
+from toricmld.errors import DomainError, NoCone, NotACone
+from toricmld.fans import Fan, fan, is_cone_of, star_subdivision
+from toricmld.fibration import (
+    CertifiedAtLeast,
+    Exact,
+    Indeterminate,
+    ToricMorphism,
+    Witness,
+    _descend,
+    _norm_key,
+    _pick_witness,
+    _relint_test,
+    morphism,
+)
 from toricmld.intlinalg import (
+    dot,
     identity,
     invert_rational,
+    is_primitive,
+    is_zero,
     mat_vec,
     primitive,
     rank,
+    scale_to_integer,
     smith_normal_form,
     transpose,
     unimodular_inverse,
+    vec_add,
+    vec_mat,
+    vec_scale,
     vec_sub,
 )
+from toricmld.ratlp import Unbounded, cone_lp, solve_min
+from toricmld.singularities import MINUS_INFINITY, MldReport, _triangulated
 
 
 def p2() -> Fan:
@@ -212,3 +244,294 @@ def gens_with_invariant_factors(rng: random.Random, factors, dim: int):
     return tuple(
         tuple(sum(emb[r][i] * v[i][j] for i in range(d)) for r in range(dim)) for j in range(d)
     )
+
+
+# -- Fraction references for the integer-numerator scans --------------------
+#
+# The library evaluates A in its lattice-point scans as integer numerators
+# over one common denominator.  These are the scans as they were written
+# before, with one Fraction per point; the properties in
+# test_integer_scans.py compare the two.
+
+
+def _reference_simplex_points_below(f: Fan, simplex, fn, cap: Fraction):
+    gens = f.cone_gens(simplex)
+    vals = [Fraction(dot(fn, g)) for g in gens]
+    for b, _ in box_points(gens, f.rank):
+        base = Fraction(dot(fn, b))
+        if base > cap:
+            continue
+        bounds = [int((cap - base) / v) for v in vals]
+        for ns in product(*(range(k + 1) for k in bounds)):
+            if sum(n * v for n, v in zip(ns, vals)) + base > cap:
+                continue
+            x = b
+            for n, g in zip(ns, gens):
+                if n:
+                    x = vec_add(x, vec_scale(n, g))
+            yield x
+
+
+def reference_sublevel_points(f: Fan, a, cap: Fraction):
+    """Points of the support with A <= cap and their Fraction values."""
+    seen = set()
+    for c, fn, simplices in zip(f.max_cones, a.functionals, _triangulated(f)):
+        for simplex in simplices:
+            for x in _reference_simplex_points_below(f, simplex, fn, cap):
+                if is_zero(x) or x in seen:
+                    continue
+                seen.add(x)
+                yield x, Fraction(dot(fn, x))
+
+
+def reference_global_mld(f: Fan, b: ToricDivisor) -> MldReport:
+    if not f.max_cones or not f.rays:
+        raise DomainError("the fan has no rays to take discrepancies along")
+    a = log_discrepancy_function(f, b)
+    ray_vals = [1 - c for c in b.coeffs]
+    count = len(f.rays)
+    neg = next((i for i, v in enumerate(ray_vals) if v < 0), None)
+    if neg is not None:
+        return MldReport(MINUS_INFINITY, f.rays[neg], count, "minus_infinity")
+
+    def key(val, x):
+        return (val, max(abs(t) for t in x), x)
+
+    best = min(key(Fraction(v), r) for v, r in zip(ray_vals, f.rays))
+    for c, fn, simplices in zip(f.max_cones, a.functionals, _triangulated(f)):
+        for simplex in simplices:
+            for x, _ in box_points(f.cone_gens(simplex), f.rank):
+                if is_zero(x):
+                    continue
+                count += 1
+                cand = key(Fraction(dot(fn, x)), x)
+                if cand < best:
+                    best = cand
+    return MldReport(best[0], best[2], count, "exact")
+
+
+def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau, zero_cap: int = 3) -> MldReport:
+    tau = tuple(sorted(set(tau)))
+    if not tau:
+        raise DomainError("the minimal log discrepancy at a cone needs dimension >= 1")
+    if not is_cone_of(f, tau):
+        raise NotACone(f"{tau} is not a cone of the fan")
+    a = log_discrepancy_function(f, b)
+    fn = next(fn for c, fn in zip(f.max_cones, a.functionals) if set(tau) <= set(c))
+    gens = f.cone_gens(tau)
+    vals = [Fraction(dot(fn, g)) for g in gens]
+    count = 0
+
+    if any(v < 0 for v in vals):
+        g_neg = gens[next(i for i, v in enumerate(vals) if v < 0)]
+        w = relint_point(gens)
+        while Fraction(dot(fn, w)) >= 0:
+            w = vec_add(w, g_neg)
+        return MldReport(MINUS_INFINITY, w, 1, "minus_infinity")
+
+    p0 = relint_point(gens)
+    cap = Fraction(dot(fn, p0))
+    best_val, best_wit = cap, p0
+    simplices = [tuple(tau[i] for i in t) for t in triangulate(gens, f.rank)]
+
+    if all(v > 0 for v in vals):
+        for simplex in simplices:
+            for x in _reference_simplex_points_below(f, simplex, fn, cap):
+                if is_zero(x) or not relint_contains(gens, f.rank, x):
+                    continue
+                count += 1
+                val = Fraction(dot(fn, x))
+                if val < best_val:
+                    best_val, best_wit = val, x
+        return MldReport(best_val, best_wit, count, "exact")
+
+    closed = Fraction(0)
+    found = None
+    for simplex in simplices:
+        sgens = f.cone_gens(simplex)
+        svals = [Fraction(dot(fn, g)) for g in sgens]
+        for bpt, _ in box_points(sgens, f.rank):
+            base = Fraction(dot(fn, bpt))
+            ranges = []
+            for v in svals:
+                if v > 0:
+                    hi = int((cap - base) / v) if cap >= base else -1
+                else:
+                    hi = zero_cap
+                ranges.append(range(hi + 1))
+            for ns in product(*ranges):
+                x = bpt
+                for n, g in zip(ns, sgens):
+                    if n:
+                        x = vec_add(x, vec_scale(n, g))
+                if is_zero(x):
+                    continue
+                count += 1
+                val = Fraction(dot(fn, x))
+                if not relint_contains(gens, f.rank, x):
+                    continue
+                if val < best_val:
+                    best_val, best_wit = val, x
+                if val == closed and found is None:
+                    found = x
+    if best_val == closed or found is not None:
+        wit = found if found is not None else best_wit
+        return MldReport(closed, wit, count, "exact")
+    return MldReport(closed, None, count, "zero_on_boundary_infimum")
+
+
+def reference_relative_mld(f, b: ToricDivisor, tau_z, eps, radius: int = 10_000):
+    eps = Fraction(eps)
+    tau_z = tuple(sorted(set(int(i) for i in tau_z)))
+    src, nz, nx = f.source, f.target.rank, f.source.rank
+    a = log_discrepancy_function(src, b)
+    tgens = f.target.cone_gens(tau_z)
+    teq, tineq = hrep(tgens, nz)
+    maps_into_relint = _relint_test(f, teq, tineq)
+
+    relevant = []
+    best = None
+    for c, fn in zip(src.max_cones, a.functionals):
+        gens = src.cone_gens(c)
+        img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
+        for m in teq:
+            img = cut(img, nz, m, 1)
+            img = cut(img, nz, m, -1)
+        for m in tineq:
+            img = cut(img, nz, m, 1)
+        if not img:
+            continue
+        pc = img[0]
+        for g in img[1:]:
+            pc = vec_add(pc, g)
+        if is_zero(pc) or not relint_contains(tgens, nz, pc):
+            continue
+        res = solve_min(cone_lp(gens, f.matrix, pc, fn))
+        if isinstance(res, Unbounded):
+            d = primitive(scale_to_integer(res.direction))
+            feas = solve_min(cone_lp(gens, f.matrix, pc, (0,) * nx))
+            return Exact(MINUS_INFINITY, _descend(a, scale_to_integer(feas.point), d))
+        v0 = primitive(scale_to_integer(res.point))
+        val0 = a(v0)
+        relevant.append((c, fn, gens, v0))
+        if best is None or (val0, _norm_key(v0)) < best[:2]:
+            best = (val0, _norm_key(v0), v0)
+    if not relevant:
+        raise NoCone("no cone maps onto the chosen base cone")
+    cap, _, wit0 = best
+
+    if all(1 - coeff > 0 for coeff in b.coeffs):
+        cands = [(cap, (_norm_key(wit0), wit0))]
+        for x, val in reference_sublevel_points(src, a, cap):
+            if maps_into_relint(x):
+                cands.append((val, (_norm_key(x), x)))
+        value, wit = _pick_witness(cands)
+        return Exact(value, wit)
+
+    u0 = tineq[0]
+    for m in tineq[1:]:
+        u0 = vec_add(u0, m)
+    u0_src = vec_mat(u0, f.matrix)
+    lower = None
+    for c, fn, gens, v0 in relevant:
+        cg = gens
+        for m in teq:
+            row = vec_mat(m, f.matrix)
+            cg = cut(cg, nx, row, 1)
+            cg = cut(cg, nx, row, -1)
+        for m in tineq:
+            cg = cut(cg, nx, vec_mat(m, f.matrix), 1)
+        res = solve_min(cone_lp(cg, (u0_src,), (1,), fn))
+        if isinstance(res, Unbounded):
+            return Exact(MINUS_INFINITY, _descend(a, v0, primitive(scale_to_integer(res.direction))))
+        if res.value < 0:
+            return Exact(MINUS_INFINITY, _descend(a, v0, primitive(scale_to_integer(res.point))))
+        if lower is None or res.value < lower:
+            lower = res.value
+    if cap == lower:
+        return Exact(lower, wit0)
+    if lower >= eps:
+        return CertifiedAtLeast(lower)
+
+    budget = 2_000_000
+    found = [(cap, (_norm_key(wit0), wit0))]
+    for c, fn, gens, _ in relevant:
+        for t in triangulate(gens, nx):
+            sgens = tuple(gens[i] for i in t)
+            svals = [Fraction(dot(fn, g)) for g in sgens]
+            for bpt, _ in box_points(sgens, nx):
+                base = Fraction(dot(fn, bpt))
+                ranges = []
+                for v in svals:
+                    if v > 0:
+                        hi = int((cap - base) / v) if cap >= base else -1
+                        hi = min(hi, radius)
+                    else:
+                        hi = radius
+                    ranges.append(range(hi + 1))
+                for ns in product(*ranges):
+                    budget -= 1
+                    if budget <= 0:
+                        break
+                    x = bpt
+                    for n, g in zip(ns, sgens):
+                        if n:
+                            x = vec_add(x, vec_scale(n, g))
+                    if is_zero(x) or not maps_into_relint(x):
+                        continue
+                    found.append((Fraction(dot(fn, x)), (_norm_key(x), x)))
+                if budget <= 0:
+                    break
+            if budget <= 0:
+                break
+        if budget <= 0:
+            break
+    value, wit = _pick_witness(found)
+    if not is_primitive(wit):
+        wit = primitive(wit)
+        value = a(wit)
+    if value == lower:
+        return Exact(value, wit)
+    if value < eps:
+        return Witness(wit, value)
+    return Indeterminate(radius)
+
+
+def reference_fiber_cones_minimum(f, a, w):
+    """The final scan of verify_lc_complement_theorem, with A evaluated
+    through PLFunction.__call__ at every point."""
+    src = f.source
+    worst = None
+    worst_at = None
+    for c in src.max_cones:
+        gens = src.cone_gens(c)
+        imgs = tuple(g for g in (f.apply(g) for g in gens) if not is_zero(g))
+        if not contains(imgs, f.target.rank, w):
+            continue
+        points = list(gens)
+        for simplex in triangulate(gens, src.rank):
+            sgens = tuple(gens[i] for i in simplex)
+            points.extend(p for p, _ in box_points(sgens, src.rank) if not is_zero(p))
+        for p in points:
+            val = a(p)
+            if worst is None or val < worst:
+                worst, worst_at = val, p
+    return worst, worst_at
+
+
+def random_half_plane_fibration(rng: random.Random, extra_rank: int = 0) -> ToricMorphism:
+    """A random proper fibration over the affine line: the rays (1, 0),
+    (-1, 0) and one to three random primitive vectors in the open upper
+    half-plane, with consecutive rays by angle spanning the cones, mapped to
+    the second coordinate.  With extra_rank = 1 the source is multiplied by
+    the fan of P1 first, giving a rank-3 source over the same base."""
+    ups = set()
+    while len(ups) < rng.randint(1, 3):
+        v = (rng.randint(-5, 5), rng.randint(1, 4))
+        if math.gcd(*v) == 1:
+            ups.add(v)
+    rays = [(1, 0)] + sorted(ups, key=lambda v: math.atan2(v[1], v[0])) + [(-1, 0)]
+    src = fan(2, rays, [(i, i + 1) for i in range(len(rays) - 1)])
+    if extra_rank:
+        src = product_fan(p1(), src)
+    return to_a1(src)

@@ -1,0 +1,262 @@
+"""The lattice-point scans evaluate A as integer numerators over one common
+denominator.  These properties compare each scan with its Fraction
+reference in helpers.py: values, witnesses, enumeration counts, statuses
+and result types must be identical."""
+
+import io
+import json
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    identity_morphism,
+    p2,
+    random_fan,
+    random_half_plane_fibration,
+    reference_fiber_cones_minimum,
+    reference_global_mld,
+    reference_mld_at_cone,
+    reference_relative_mld,
+    reference_sublevel_points,
+)
+from toricmld import fibration
+from toricmld.bounds import _fiber_cones_minimum
+from toricmld.cli import main
+from toricmld.divisors import divisor, log_discrepancy_function
+from toricmld.fans import fan
+from toricmld.fibration import _faces_of, lc_threshold_over, lc_thresholds, relative_mld
+from toricmld.singularities import global_mld, mld_at_cone, sublevel_points
+
+
+def random_coeffs(rng, n):
+    """Boundary coefficients with denominators 1..7, so the functionals of
+    neighbouring cones have different denominators; about 30% are 1 (A
+    vanishes at the ray) and a few exceed 1 (A is negative there)."""
+    out = []
+    for _ in range(n):
+        d = rng.randint(1, 7)
+        u = rng.random()
+        k = d if u < 0.3 else d + 1 if u < 0.34 else rng.randint(0, d - 1)
+        out.append(Fraction(k, d))
+    return out
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+def same(new, ref):
+    """Equal results with equal types, field by field."""
+    assert new == ref
+    assert type(new) is type(ref)
+    if hasattr(ref, "__dataclass_fields__"):
+        for name in ref.__dataclass_fields__:
+            assert type(getattr(new, name)) is type(getattr(ref, name)), name
+
+
+def cones_of(f):
+    return sorted(
+        {
+            tuple(c[i] for i in face)
+            for c in f.max_cones
+            for face in _faces_of(f.cone_gens(c), f.rank)
+            if face
+        }
+    )
+
+
+def zero_branch(b, tau):
+    """mld_at_cone takes its zero-level branch: A vanishes at a generator
+    of tau and is negative at none."""
+    vals = [1 - b.coeffs[i] for i in tau]
+    return min(vals) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_global_mld_matches_fraction_scan(seed):
+    rng = random.Random(seed)
+    f = random_fan(rng, max_rank=3, subdivisions=2)
+    b = divisor(f, random_coeffs(rng, len(f.rays)))
+    same(global_mld(f, b), reference_global_mld(f, b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_mld_at_cone_matches_fraction_scan(seed):
+    rng = random.Random(seed)
+    f = random_fan(rng, max_rank=3, subdivisions=2)
+    b = divisor(f, random_coeffs(rng, len(f.rays)))
+    taus = cones_of(f)
+    for tau in rng.sample(taus, min(6, len(taus))):
+        same(mld_at_cone(f, b, tau), reference_mld_at_cone(f, b, tau))
+
+
+def test_mld_at_cone_zero_branch_matches_fraction_scan():
+    """Enough cones with a zero-level generator that the zero branch,
+    including its attained and infimum-only outcomes, is exercised."""
+    statuses = []
+    for seed in range(25):
+        rng = random.Random(seed)
+        f = random_fan(rng, max_rank=3, subdivisions=2)
+        b = divisor(f, random_coeffs(rng, len(f.rays)))
+        for tau in cones_of(f):
+            if zero_branch(b, tau):
+                rep = mld_at_cone(f, b, tau)
+                same(rep, reference_mld_at_cone(f, b, tau))
+                statuses.append(rep.status)
+    assert statuses.count("exact") >= 10
+    assert statuses.count("zero_on_boundary_infimum") >= 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sublevel_points_match_fraction_scan(seed):
+    """Same points in the same order, at caps that some lattice points
+    attain exactly and at caps between two numerators."""
+    rng = random.Random(seed)
+    f = random_fan(rng, max_rank=3, subdivisions=2)
+    coeffs = [c if c < 1 else Fraction(1, 2) for c in random_coeffs(rng, len(f.rays))]
+    a = log_discrepancy_function(f, divisor(f, coeffs))
+    den = a.integral()[0]
+    ray_cap = 1 - coeffs[rng.randrange(len(coeffs))]
+    for cap in (ray_cap * rng.randint(1, 3), ray_cap + Fraction(1, 3 * den)):
+        new = [(x, Fraction(n, den)) for x, n in sublevel_points(f, a, cap)]
+        assert new == list(reference_sublevel_points(f, a, cap))
+
+
+def test_neighbouring_cones_with_different_denominators():
+    f = p2()
+    b = divisor(f, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+    a = log_discrepancy_function(f, b)
+    dens = {math.lcm(*(x.denominator for x in fn)) for fn in a.functionals}
+    assert len(dens) > 1
+    den, nums = a.integral()
+    assert den == math.lcm(*dens)
+    for fn, m in zip(a.functionals, nums):
+        assert all(isinstance(k, int) and k == x * den for k, x in zip(m, fn))
+    same(global_mld(f, b), reference_global_mld(f, b))
+    for tau in cones_of(f):
+        same(mld_at_cone(f, b, tau), reference_mld_at_cone(f, b, tau))
+
+
+def test_ray_in_no_maximal_cone_enters_the_denominator():
+    """On an unchecked fan a ray outside every maximal cone still competes
+    in global_mld; its value 1/7 has a denominator no functional has."""
+    base = p2()
+    f = fan(2, base.rays + ((2, 1),), base.max_cones, check=False)
+    coeffs = [Fraction(6, 7) if r == (2, 1) else Fraction(1, 3) for r in f.rays]
+    b = divisor(f, coeffs)
+    a = log_discrepancy_function(f, b)
+    assert a.integral()[0] % 7 != 0
+    assert a.integral([1 - c for c in coeffs])[0] % 7 == 0
+    rep = global_mld(f, b)
+    assert (rep.value, rep.witness) == (Fraction(1, 7), (2, 1))
+    same(rep, reference_global_mld(f, b))
+
+
+def relative_case(rng, kind):
+    """(morphism, boundary, base cone, eps, radius).  Kinds 0 and 1 are
+    half-plane fibrations of source rank 2 and 3 over the affine line,
+    where several source cones lie over the base cone; kind 2 is the
+    identity of a random plane fan over one of its maximal cones, whose
+    zero-level generators leave the search Indeterminate at small radii."""
+    if kind < 2:
+        f = random_half_plane_fibration(rng, kind)
+        tau = (0,)
+    else:
+        f = identity_morphism(random_fan(rng, max_rank=2, subdivisions=2))
+        tau = rng.choice(f.target.max_cones)
+    b = divisor(f.source, random_coeffs(rng, len(f.source.rays)))
+    eps = rng.choice([Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(2)])
+    return f, b, tau, eps, rng.choice([3, 20])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2))
+def test_relative_mld_matches_fraction_scan(seed, kind):
+    f, b, tau, eps, radius = relative_case(random.Random(seed), kind)
+    same(
+        outcome(relative_mld, f, b, tau, eps, radius=radius),
+        outcome(reference_relative_mld, f, b, tau, eps, radius=radius),
+    )
+
+
+def test_relative_mld_search_matches_fraction_scan(monkeypatch):
+    """Every outcome of the radius search.  The search scans every cone over
+    the base cone against one cap, taken from whichever cone gave the
+    smallest lifted value, so on the half-plane fibrations, with several
+    such cones, the cap comes from another cone's functional than most of
+    the cones scanned."""
+    searched = []
+    pick = fibration._pick_witness
+
+    def recording_pick(cands):
+        searched.append(len(cands))
+        return pick(cands)
+
+    monkeypatch.setattr(fibration, "_pick_witness", recording_pick)
+    kinds = []
+    for seed in range(150):
+        f, b, tau, eps, radius = relative_case(random.Random(seed), seed % 3)
+        searched.clear()
+        res = outcome(relative_mld, f, b, tau, eps, radius=radius)
+        if searched and not all(1 - c > 0 for c in b.coeffs):
+            same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius))
+            kinds.append((seed % 3 < 2, type(res).__name__))
+    assert kinds.count((True, "Exact")) >= 5
+    assert kinds.count((True, "Witness")) >= 2
+    assert kinds.count((False, "Indeterminate")) >= 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 1))
+def test_lc_complement_scan_matches_fraction_scan(seed, extra_rank):
+    rng = random.Random(seed)
+    f = random_half_plane_fibration(rng, extra_rank)
+    coeffs = [min(c, 1) for c in random_coeffs(rng, len(f.source.rays))]
+    a = log_discrepancy_function(f.source, divisor(f.source, coeffs))
+    w = f.target.rays[0]
+    worst, at = _fiber_cones_minimum(f, a, w)
+    ref_worst, ref_at = reference_fiber_cones_minimum(f, a, w)
+    same(worst, ref_worst)
+    assert at == ref_at
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_lc_thresholds_match_per_ray_thresholds(seed):
+    rng = random.Random(seed)
+    if seed % 2:
+        f = random_half_plane_fibration(rng, seed % 4 == 1)
+    else:
+        f = identity_morphism(random_fan(rng, max_rank=2, subdivisions=2))
+    b = divisor(f.source, [min(c, 1) for c in random_coeffs(rng, len(f.source.rays))])
+    per_ray = tuple(
+        outcome(lc_threshold_over, f, b, w) for w in range(len(f.target.rays))
+    )
+    errors = [t for t in per_ray if isinstance(t, tuple)]
+    if errors:
+        assert outcome(lc_thresholds, f, b) == errors[0]
+    else:
+        same(lc_thresholds(f, b), per_ray)
+
+
+def test_cli_integer_list_messages(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["tightness-scan", "--r", "1", "--q", "2,x"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["payload"]["detail"] == "expected comma-separated integers, got '2,x'"
+    main(["example-family", "--r", "1", "--q", "2"])
+    family = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(family))
+    assert main(["mld-at", "--cone", "1,x"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["payload"]["detail"] == "cone indices must be integers, got '1,x'"
