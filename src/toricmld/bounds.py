@@ -164,18 +164,28 @@ def _unpack(f, b, tau_z):
     return f, b, tau_z
 
 
-def _rel_mld_check(f, b, tau_z, eps, radius):
-    """Hypothesis gate: is the relative mld over tau_z at least eps?"""
+def _rel_mld_check(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses) -> bool:
+    """Hypothesis gate: is the relative mld over tau_z at least eps?  Appends
+    the gate, what was measured and any witness to the report lists, and
+    returns the gate's outcome."""
     res = relative_mld(f, b, tau_z, eps, radius=radius)
     if isinstance(res, Exact):
         ok = res.value is not MINUS_INFINITY and res.value >= eps
-        return ok, ("relative_mld", res.value), ("relative_mld_witness", res.witness)
-    if isinstance(res, CertifiedAtLeast):
-        return res.bound >= eps, ("relative_mld_lower_bound", res.bound), None
-    if isinstance(res, Witness):
-        return False, ("relative_mld_upper_bound", res.value), ("relative_mld_witness", res.v)
-    assert isinstance(res, Indeterminate)
-    return False, ("relative_mld_search_radius", res.radius), None
+        measurements.append(("relative_mld", res.value))
+        witnesses.append(("relative_mld_witness", res.witness))
+    elif isinstance(res, CertifiedAtLeast):
+        ok = res.bound >= eps
+        measurements.append(("relative_mld_lower_bound", res.bound))
+    elif isinstance(res, Witness):
+        ok = False
+        measurements.append(("relative_mld_upper_bound", res.value))
+        witnesses.append(("relative_mld_witness", res.v))
+    else:
+        assert isinstance(res, Indeterminate)
+        ok = False
+        measurements.append(("relative_mld_search_radius", res.radius))
+    hypotheses.append(("relative_mld_at_least_eps", ok))
+    return ok
 
 
 def verify_fano_contraction_theorem(
@@ -193,11 +203,9 @@ def verify_fano_contraction_theorem(
     r = diag.relative_dimension
     d = delta(r, eps)
     bound = 1 / d
-    hyp_ok, measure, witness = _rel_mld_check(f, b, tau_z, eps, radius)
-    hypotheses = (("relative_mld_at_least_eps", hyp_ok),)
-    measurements = [("delta", d), ("multiplicity_bound", bound), measure]
-    witnesses = [witness] if witness else []
-    claims = []
+    hypotheses, witnesses, claims = [], [], []
+    measurements = [("delta", d), ("multiplicity_bound", bound)]
+    hyp_ok = _rel_mld_check(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses)
     if hyp_ok:
         pulls = pullback_multiplicities(f, tau_z[0])
         mults = tuple(c for _, c in pulls)
@@ -219,7 +227,7 @@ def verify_fano_contraction_theorem(
             if rep.witness is not None:
                 witnesses.append(("base_mld_witness", rep.witness))
     return VerificationReport(
-        hypotheses=hypotheses,
+        hypotheses=tuple(hypotheses),
         claims=tuple(claims),
         measurements=tuple(measurements),
         witnesses=tuple(witnesses),
@@ -245,52 +253,37 @@ def verify_adjunction_theorem(
         raise DomainError("the fibration must have positive relative dimension")
     d = delta(r, eps)
     measurements = [("delta", d)]
-    witnesses = []
+    witnesses, claims = [], []
     rt = rel_trivial_witness(f, b)
     hypotheses = [("pair_trivial_over_base", rt is not None)]
-    if rt is None:
-        return VerificationReport(
-            hypotheses=tuple(hypotheses),
-            claims=(),
-            measurements=tuple(measurements),
-        )
-    hyp_ok, measure, witness = _rel_mld_check(f, b, tau_z, eps, radius)
-    hypotheses.append(("relative_mld_at_least_eps", hyp_ok))
-    measurements.append(measure)
-    if witness:
-        witnesses.append(witness)
-    if not hyp_ok:
-        return VerificationReport(
-            hypotheses=tuple(hypotheses),
-            claims=(),
-            measurements=tuple(measurements),
-            witnesses=tuple(witnesses),
-        )
-    alpha = Fraction(1, factorial(r))
-    gamma = average_boundary(b, f.source, alpha)
-    measurements.append(("alpha", alpha))
-    claims = []
-    disc = discriminant_divisor(f, gamma)
-    measurements.append(("base_boundary", disc.divisor.coeffs))
-    rep = mld_at_cone(f.target, disc.divisor, tau_z)
-    measurements.append(("base_mld", rep.value))
-    ok = rep.value is not MINUS_INFINITY and rep.value >= d
-    claims.append(("base_mld_at_least_delta", ok))
-    if rep.witness is not None:
-        witnesses.append(("base_mld_witness", rep.witness))
-    for p in probes:
-        p = tuple(int(x) for x in p)
-        sub = star_subdivision(f.target, p)
-        # triviality over the base is inherited by refinements, so only the
-        # per-ray thresholds need recomputing on the finer fan
-        lifted = ToricMorphism(matrix=f.matrix, source=f.source, target=sub)
-        disc2 = divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])
-        idx = sub.rays.index(p)
-        rep2 = mld_at_cone(sub, disc2, (idx,))
-        label = "probe_" + ",".join(str(x) for x in p)
-        measurements.append((label + "_mld", rep2.value))
-        ok2 = rep2.value is not MINUS_INFINITY and rep2.value >= d
-        claims.append((label + "_mld_at_least_delta", ok2))
+    hyp_ok = rt is not None and _rel_mld_check(
+        f, b, tau_z, eps, radius, hypotheses, measurements, witnesses
+    )
+    if hyp_ok:
+        alpha = Fraction(1, factorial(r))
+        gamma = average_boundary(b, f.source, alpha)
+        measurements.append(("alpha", alpha))
+        disc = discriminant_divisor(f, gamma)
+        measurements.append(("base_boundary", disc.divisor.coeffs))
+        rep = mld_at_cone(f.target, disc.divisor, tau_z)
+        measurements.append(("base_mld", rep.value))
+        ok = rep.value is not MINUS_INFINITY and rep.value >= d
+        claims.append(("base_mld_at_least_delta", ok))
+        if rep.witness is not None:
+            witnesses.append(("base_mld_witness", rep.witness))
+        for p in probes:
+            p = tuple(int(x) for x in p)
+            sub = star_subdivision(f.target, p)
+            # triviality over the base is inherited by refinements, so only the
+            # per-ray thresholds need recomputing on the finer fan
+            lifted = ToricMorphism(matrix=f.matrix, source=f.source, target=sub)
+            disc2 = divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])
+            idx = sub.rays.index(p)
+            rep2 = mld_at_cone(sub, disc2, (idx,))
+            label = "probe_" + ",".join(str(x) for x in p)
+            measurements.append((label + "_mld", rep2.value))
+            ok2 = rep2.value is not MINUS_INFINITY and rep2.value >= d
+            claims.append((label + "_mld_at_least_delta", ok2))
     return VerificationReport(
         hypotheses=tuple(hypotheses),
         claims=tuple(claims),
@@ -321,42 +314,31 @@ def verify_lc_complement_theorem(
         raise DomainError("the fibration must have positive relative dimension")
     d = delta(r, eps)
     measurements = [("delta", d)]
-    witnesses = []
+    witnesses, claims = [], []
     below = all(s <= t for s, t in zip(b_toric.coeffs, b_plus.coeffs))
     hypotheses = [("boundary_below_auxiliary", below)]
     rt = rel_trivial_witness(f, b_plus)
     hypotheses.append(("auxiliary_trivial_over_base", rt is not None))
-    if below and rt is not None:
-        hyp_ok, measure, witness = _rel_mld_check(f, b_plus, tau_z, eps, radius)
-        hypotheses.append(("relative_mld_at_least_eps", hyp_ok))
-        measurements.append(measure)
-        if witness:
-            witnesses.append(witness)
-    else:
-        hyp_ok = False
-    if not hyp_ok:
-        return VerificationReport(
-            hypotheses=tuple(hypotheses),
-            claims=(),
-            measurements=tuple(measurements),
-            witnesses=tuple(witnesses),
-        )
-    src = f.source
-    w = f.target.rays[tau_z[0]]
-    pulls = dict(pullback_multiplicities(f, tau_z[0]))
-    coeffs = tuple(
-        bc + d * pulls.get(v, 0) for bc, v in zip(b_toric.coeffs, src.rays)
+    hyp_ok = below and rt is not None and _rel_mld_check(
+        f, b_plus, tau_z, eps, radius, hypotheses, measurements, witnesses
     )
-    bprime = divisor(src, coeffs)
-    measurements.append(("augmented_coeffs", coeffs))
-    worst, worst_at = _fiber_cones_minimum(f, log_discrepancy_function(src, bprime), w)
-    claims = (("lc_after_adding_delta_fiber", worst is not None and worst >= 0),)
-    measurements.append(("minimum_log_discrepancy_found", worst))
-    if worst_at is not None:
-        witnesses.append(("minimum_at", worst_at))
+    if hyp_ok:
+        src = f.source
+        w = f.target.rays[tau_z[0]]
+        pulls = dict(pullback_multiplicities(f, tau_z[0]))
+        coeffs = tuple(
+            bc + d * pulls.get(v, 0) for bc, v in zip(b_toric.coeffs, src.rays)
+        )
+        bprime = divisor(src, coeffs)
+        measurements.append(("augmented_coeffs", coeffs))
+        worst, worst_at = _fiber_cones_minimum(f, log_discrepancy_function(src, bprime), w)
+        claims.append(("lc_after_adding_delta_fiber", worst is not None and worst >= 0))
+        measurements.append(("minimum_log_discrepancy_found", worst))
+        if worst_at is not None:
+            witnesses.append(("minimum_at", worst_at))
     return VerificationReport(
         hypotheses=tuple(hypotheses),
-        claims=claims,
+        claims=tuple(claims),
         measurements=tuple(measurements),
         witnesses=tuple(witnesses),
     )
@@ -381,7 +363,7 @@ def _fiber_cones_minimum(f: ToricMorphism, a: PLFunction, w: Vec):
         points = list(gens)
         for simplex in triangulate(gens, src.rank):
             sgens = tuple(gens[i] for i in simplex)
-            points.extend(p for p, _ in box_points(sgens, src.rank) if not is_zero(p))
+            points.extend(p for p in box_points(sgens, src.rank) if not is_zero(p))
         for p in points:
             n = dot(m, p)
             if worst is None or n < worst:

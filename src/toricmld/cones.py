@@ -14,11 +14,14 @@ gives one residue vector k = W (s_i N / D_i) mod N, and the point is
 Σ k_i g_i / N.  No rational solve is done per point; every point is still
 checked in integers (exact division by N, 0 <= k_i < N, one distinct point
 per coset).
+
+``capped_points`` is the one enumerator of the other lattice points of a
+simplicial cone (box points plus multiples of the generators, under a cap on
+a linear functional); every lattice-point scan uses it or ``box_points``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
@@ -157,6 +160,17 @@ def cut(gens: tuple[Vec, ...], dim: int, m: Vec, sense: int) -> tuple[Vec, ...]:
     return tuple(sorted(set(kept)))
 
 
+def intersect(gens: tuple[Vec, ...], dim: int, eqs, ineqs) -> tuple[Vec, ...]:
+    """Generators of cone(gens) ∩ {E x = 0, F x >= 0}: one cut per side of
+    each equation, then one per inequality, in row order."""
+    for m in eqs:
+        gens = cut(gens, dim, m, 1)
+        gens = cut(gens, dim, m, -1)
+    for m in ineqs:
+        gens = cut(gens, dim, m, 1)
+    return gens
+
+
 def _canonical_sign(m: Vec) -> Vec:
     lead = next((x for x in m if x != 0), 0)
     return m if lead > 0 else tuple(-x for x in m)
@@ -264,25 +278,24 @@ def _box_residues(vmat: Mat):
     return n, residues
 
 
-def box_points(gens: tuple[Vec, ...], dim: int):
-    """Lattice points of the half-open parallelepiped {Σ t_i g_i : t ∈ [0,1)},
-    as (point, coefficients) pairs; gens must be linearly independent.
+def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
+    """Lattice points of the half-open parallelepiped {Σ t_i g_i : t ∈ [0,1)};
+    gens must be linearly independent.
 
-    Each point is Σ k_i g_i / N for the integer residues k of _box_residues,
-    so its coefficients are k_i / N.  The self-checks stay in integers: the
-    division by N is exact, 0 <= k_i < N, and there are |det| pairwise
-    distinct points, one per coset of the lattice modulo the generators.
+    Each point is Σ k_i g_i / N for the integer residues k of _box_residues.
+    The self-checks stay in integers: the division by N is exact,
+    0 <= k_i < N, and there are |det| pairwise distinct points, one per
+    coset of the lattice modulo the generators.
     """
     d = len(gens)
     if d == 0:
-        return (((0,) * dim, ()),)
+        return ((0,) * dim,)
     if rank(tuple(gens)) != d:
         raise NotACone("parallelepiped needs independent generators")
     basis = span_lattice_basis(gens, dim)
     vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
     n, residues = _box_residues(vmat)
     cols = transpose(gens)
-    fracs = [Fraction(i, n) for i in range(n)]
     out = []
     for k in residues:
         if not all(0 <= ki < n for ki in k):
@@ -290,7 +303,38 @@ def box_points(gens: tuple[Vec, ...], dim: int):
         nums = [sum(map(mul, col, k)) for col in cols]
         if any(v % n for v in nums):
             raise AssertionError("box point is not a lattice point")
-        out.append((tuple(v // n for v in nums), tuple(fracs[ki] for ki in k)))
-    if len({x for x, _ in out}) != abs(det(vmat)):
+        out.append(tuple(v // n for v in nums))
+    if len(set(out)) != abs(det(vmat)):
         raise AssertionError("parallelepiped enumeration lost coset representatives")
     return tuple(out)
+
+
+def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int = 0, cap=None):
+    """Lattice points x = b + Σ k_i g_i of the simplicial cone over gens, b a
+    box point, as pairs (m·x, x); gens must be linearly independent.
+
+    k_i runs up to (capn - m·b) // m·g_i where m·g_i > 0, and no further
+    than cap when cap is given; it runs up to zero_cap where m·g_i <= 0.  The
+    k are walked in itertools.product order.  A pair with m·x > capn is
+    yielded as (m·x, None) without building the point, so that callers can
+    still count it.
+    """
+    vals = [dot(m, g) for g in gens]
+    cols = [tuple(g[j] for g in gens) for j in range(dim)]
+    for b in box_points(gens, dim):
+        base = dot(m, b)
+        ranges = []
+        for v in vals:
+            if v > 0:
+                hi = (capn - base) // v
+                if cap is not None:
+                    hi = min(hi, cap)
+            else:
+                hi = zero_cap
+            ranges.append(range(hi + 1))
+        for ks in product(*ranges):
+            n = base + sum(map(mul, ks, vals))
+            if n > capn:
+                yield n, None
+            else:
+                yield n, tuple(c + sum(map(mul, ks, col)) for c, col in zip(b, cols))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import cones
 from .divisors import (
@@ -43,7 +43,6 @@ from .intlinalg import (
     smith_normal_form,
     vec_add,
     vec_mat,
-    vec_scale,
 )
 from .ratlp import Infeasible, Optimal, Unbounded, cone_lp, solve_min
 from .singularities import MINUS_INFINITY, sublevel_points
@@ -97,22 +96,20 @@ def _compatible(f: ToricMorphism) -> bool:
     return True
 
 
+def _pullback(f: ToricMorphism, rows) -> tuple[Vec, ...]:
+    """Target functionals as source functionals, m -> m M: the preimage of
+    {E y = 0, F y >= 0} is {E M x = 0, F M x >= 0}."""
+    return tuple(vec_mat(m, f.matrix) for m in rows)
+
+
 def _preimage_gens(f: ToricMorphism, tgens) -> tuple[Vec, ...]:
     """V-representation of the full preimage of cone(tgens)."""
     nx = f.source.rank
     gens: tuple = tuple(
         tuple(s if i == j else 0 for j in range(nx)) for i in range(nx) for s in (1, -1)
     )
-    if f.target.rank == 0:
-        return gens
     eqs, ineqs = cones.hrep(tuple(tgens), f.target.rank)
-    for m in eqs:
-        row = vec_mat(m, f.matrix)
-        gens = cones.cut(gens, nx, row, 1)
-        gens = cones.cut(gens, nx, row, -1)
-    for m in ineqs:
-        gens = cones.cut(gens, nx, vec_mat(m, f.matrix), 1)
-    return gens
+    return cones.intersect(gens, nx, _pullback(f, eqs), _pullback(f, ineqs))
 
 
 def _is_proper(f: ToricMorphism) -> bool:
@@ -290,16 +287,17 @@ class Indeterminate:
 
 RelMldResult = Exact | CertifiedAtLeast | Witness | Indeterminate
 
+# lattice points the radius search of relative_mld may visit
+_SEARCH_BUDGET = 2_000_000
 
-def _relint_test(f: ToricMorphism, teq, tineq):
-    """Predicate x -> phi(x) in relint(tau), for tau = {E y = 0, F y >= 0}.
 
-    The rows are pulled back once to E M and F M.  Relative interiors of the
-    cones of a fan partition its support, so this is the same test as
-    ``locate(f.target, f.apply(x)).cone == tau``.
+def _relint_test(eq_src, ineq_src):
+    """Predicate x -> phi(x) in relint(tau), from the pulled-back rows
+    (E M, F M) of tau = {E y = 0, F y >= 0} (``_pullback``).
+
+    Relative interiors of the cones of a fan partition its support, so this
+    is the same test as ``locate(f.target, f.apply(x)).cone == tau``.
     """
-    eq_src = [vec_mat(m, f.matrix) for m in teq]
-    ineq_src = [vec_mat(m, f.matrix) for m in tineq]
 
     def test(x) -> bool:
         return all(dot(m, x) == 0 for m in eq_src) and all(dot(m, x) > 0 for m in ineq_src)
@@ -339,7 +337,8 @@ def relative_mld(
     den, nums = a.integral()
     tgens = f.target.cone_gens(tau_z)
     teq, tineq = cones.hrep(tgens, nz)
-    maps_into_relint = _relint_test(f, teq, tineq)
+    eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
+    maps_into_relint = _relint_test(eq_src, ineq_src)
 
     # cones whose image meets relint(tau_z), with a lifted lattice witness
     relevant = []
@@ -347,16 +346,10 @@ def relative_mld(
     for c, fn, num in zip(src.max_cones, a.functionals, nums):
         gens = src.cone_gens(c)
         img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
-        for m in teq:
-            img = cones.cut(img, nz, m, 1)
-            img = cones.cut(img, nz, m, -1)
-        for m in tineq:
-            img = cones.cut(img, nz, m, 1)
+        img = cones.intersect(img, nz, teq, tineq)
         if not img:
             continue
-        pc = img[0]
-        for g in img[1:]:
-            pc = vec_add(pc, g)
+        pc = cones.relint_point(img)
         if is_zero(pc) or not cones.relint_contains(tgens, nz, pc):
             continue
         res = solve_min(cone_lp(gens, f.matrix, pc, fn))
@@ -390,19 +383,10 @@ def relative_mld(
         return Exact(Fraction(value, den), wit)
 
     # closed-region lower bound, one LP per relevant cone
-    u0 = tineq[0]
-    for m in tineq[1:]:
-        u0 = vec_add(u0, m)
-    u0_src = vec_mat(u0, f.matrix)
+    u0_src = tuple(map(sum, zip(*ineq_src)))
     lower = None
     for fn, _, gens, v0 in relevant:
-        cg = gens
-        for m in teq:
-            row = vec_mat(m, f.matrix)
-            cg = cones.cut(cg, nx, row, 1)
-            cg = cones.cut(cg, nx, row, -1)
-        for m in tineq:
-            cg = cones.cut(cg, nx, vec_mat(m, f.matrix), 1)
+        cg = cones.intersect(gens, nx, eq_src, ineq_src)
         res = solve_min(cone_lp(cg, (u0_src,), (1,), fn))
         if isinstance(res, Unbounded):
             d = primitive(scale_to_integer(res.direction))
@@ -418,41 +402,24 @@ def relative_mld(
     if lower >= eps:
         return CertifiedAtLeast(lower)
 
-    # 0 <= lower < eps: radius-capped direct search
-    budget = 2_000_000
+    # 0 <= lower < eps: radius-capped direct search; every element of the
+    # walk, above the cap or not, is charged to the budget
+    budget = _SEARCH_BUDGET
     found = [(capn, (_norm_key(wit0), wit0))]
-    for _, num, gens, _ in relevant:
-        tri = cones.triangulate(gens, nx)
-        for t in tri:
-            sgens = tuple(gens[i] for i in t)
-            svals = [dot(num, g) for g in sgens]
-            for bpt, _ in cones.box_points(sgens, nx):
-                base = dot(num, bpt)
-                ranges = []
-                for v in svals:
-                    if v > 0:
-                        hi = (capn - base) // v if capn >= base else -1
-                        hi = min(hi, radius)
-                    else:
-                        hi = radius
-                    ranges.append(range(hi + 1))
-                for ns in product(*ranges):
-                    budget -= 1
-                    if budget <= 0:
-                        break
-                    x = bpt
-                    for n, g in zip(ns, sgens):
-                        if n:
-                            x = vec_add(x, vec_scale(n, g))
-                    if is_zero(x) or not maps_into_relint(x):
-                        continue
-                    found.append((dot(num, x), (_norm_key(x), x)))
-                if budget <= 0:
-                    break
-            if budget <= 0:
-                break
+    walk = (
+        point
+        for _, num, gens, _ in relevant
+        for t in cones.triangulate(gens, nx)
+        for point in cones.capped_points(
+            tuple(gens[i] for i in t), nx, num, capn, zero_cap=radius, cap=radius
+        )
+    )
+    for n, x in walk:
+        budget -= 1
         if budget <= 0:
             break
+        if x is not None and not is_zero(x) and maps_into_relint(x):
+            found.append((n, (_norm_key(x), x)))
     value, wit = _pick_witness(found)
     value = Fraction(value, den)
     if not is_primitive(wit):

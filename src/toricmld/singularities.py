@@ -7,9 +7,12 @@ fundamental parallelepiped, so when A is positive on the rays the minimum
 is attained among ray generators and parallelepiped points, and sublevel
 regions are finite and enumerable.
 
-The scans compare integers: A is taken as integer numerators over one
-common denominator (``PLFunction.integral``), a cap becomes
-``floor(cap * den)``, and a Fraction is built only for the value returned.
+Every scan walks simplices of the triangulated cones with
+``cones.capped_points`` (lattice points under a cap) or ``cones.box_points``
+(parallelepiped points alone).  The scans compare integers: A is taken as
+integer numerators over one common denominator (``PLFunction.integral``), a
+cap becomes ``floor(cap * den)``, and a Fraction is built only for the value
+returned.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import cones
 from .divisors import PLFunction, ToricDivisor, log_discrepancy_function
 from .errors import DomainError, NotACone, OutsideSupport
 from .fans import Fan, is_cone_of
-from .intlinalg import Vec, dot, is_zero, vec_add, vec_scale
+from .intlinalg import Vec, dot, is_zero, vec_add
 
 
 class _MinusInfinity:
@@ -64,27 +67,6 @@ def _triangulated(f: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _simplex_points_below(f: Fan, simplex: tuple[int, ...], m, capn: int):
-    """Lattice points x = sum n_i v_i + b of the simplicial cone with
-    dot(m, x) <= capn, for an integer functional m > 0 on the simplex
-    generators."""
-    gens = f.cone_gens(simplex)
-    vals = [dot(m, g) for g in gens]
-    for b, _ in cones.box_points(gens, f.rank):
-        base = dot(m, b)
-        if base > capn:
-            continue
-        bounds = [(capn - base) // v for v in vals]
-        for ns in product(*(range(k + 1) for k in bounds)):
-            if sum(n * v for n, v in zip(ns, vals)) + base > capn:
-                continue
-            x = b
-            for n, g in zip(ns, gens):
-                if n:
-                    x = vec_add(x, vec_scale(n, g))
-            yield x
-
-
 def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
     """All nonzero lattice points of the support with A <= cap, each with
     the numerator ``den * A(x)`` for ``den = a.integral()[0]``,
@@ -94,11 +76,11 @@ def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
     seen = set()
     for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
-            for x in _simplex_points_below(f, simplex, m, capn):
-                if is_zero(x) or x in seen:
+            for n, x in cones.capped_points(f.cone_gens(simplex), f.rank, m, capn):
+                if x is None or is_zero(x) or x in seen:
                     continue
                 seen.add(x)
-                yield x, dot(m, x)
+                yield x, n
 
 
 def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
@@ -120,7 +102,7 @@ def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     )
     for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
-            for x, _ in cones.box_points(f.cone_gens(simplex), f.rank):
+            for x in cones.box_points(f.cone_gens(simplex), f.rank):
                 if is_zero(x):
                     continue
                 count += 1
@@ -171,52 +153,35 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...], zero_cap: int = 3
     p0 = cones.relint_point(gens)
     capn = dot(m, p0)
     best_n, best_wit = capn, p0
-    tri = cones.triangulate(gens, f.rank)
-    simplices = [tuple(tau[i] for i in t) for t in tri]
+    simplices = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, f.rank)]
 
     if all(v > 0 for v in vals):
-        for simplex in simplices:
-            for x in _simplex_points_below(f, simplex, m, capn):
-                if is_zero(x) or not cones.relint_contains(gens, f.rank, x):
+        for sgens in simplices:
+            for n, x in cones.capped_points(sgens, f.rank, m, capn):
+                if x is None or is_zero(x) or not cones.relint_contains(gens, f.rank, x):
                     continue
                 count += 1
-                n = dot(m, x)
                 if n < best_n:
                     best_n, best_wit = n, x
         return MldReport(Fraction(best_n, den), best_wit, count, "exact")
 
     # some generators sit at level zero: the closed infimum comes from the
     # parallelepiped scan, attainment is probed with capped coefficients on
-    # the zero directions
+    # the zero directions.  Every element of the walk is counted, including
+    # those above the cap (all nonzero, as capn >= 0)
     closed = Fraction(0)
     found = None
-    for simplex in simplices:
-        sgens = f.cone_gens(simplex)
-        svals = [dot(m, g) for g in sgens]
-        for bpt, _ in cones.box_points(sgens, f.rank):
-            base = dot(m, bpt)
-            ranges = []
-            for v in svals:
-                if v > 0:
-                    hi = (capn - base) // v if capn >= base else -1
-                else:
-                    hi = zero_cap
-                ranges.append(range(hi + 1))
-            for ns in product(*ranges):
-                x = bpt
-                for n, g in zip(ns, sgens):
-                    if n:
-                        x = vec_add(x, vec_scale(n, g))
-                if is_zero(x):
-                    continue
-                count += 1
-                if not cones.relint_contains(gens, f.rank, x):
-                    continue
-                n = dot(m, x)
-                if n < best_n:
-                    best_n, best_wit = n, x
-                if n == 0 and found is None:
-                    found = x
+    for sgens in simplices:
+        for n, x in cones.capped_points(sgens, f.rank, m, capn, zero_cap):
+            if x is not None and is_zero(x):
+                continue
+            count += 1
+            if x is None or not cones.relint_contains(gens, f.rank, x):
+                continue
+            if n < best_n:
+                best_n, best_wit = n, x
+            if n == 0 and found is None:
+                found = x
     if best_n == 0 or found is not None:
         wit = found if found is not None else best_wit
         return MldReport(closed, wit, count, "exact")

@@ -6,7 +6,6 @@ from fractions import Fraction
 from itertools import product
 
 from toricmld.cones import (
-    barycentric,
     box_points,
     contains,
     cut,
@@ -29,6 +28,7 @@ from toricmld.fibration import (
     _descend,
     _norm_key,
     _pick_witness,
+    _pullback,
     _relint_test,
     morphism,
 )
@@ -218,10 +218,10 @@ def _reference_box_points_full(vmat):
 
 def reference_box_points(gens, dim: int):
     """Fraction reference for cones.box_points: same points, same order,
-    coefficients from an exact rational solve per point."""
+    each coset representative reduced into the box by a rational solve."""
     d = len(gens)
     if d == 0:
-        return (((0,) * dim, ()),)
+        return ((0,) * dim,)
     if rank(tuple(gens)) != d:
         raise NotACone("parallelepiped needs independent generators")
     basis = span_lattice_basis(gens, dim)
@@ -229,7 +229,7 @@ def reference_box_points(gens, dim: int):
     out = []
     for x_d in _reference_box_points_full(transpose(gens_d)):
         x = tuple(sum(x_d[i] * basis[i][j] for i in range(d)) for j in range(dim))
-        out.append((x, barycentric(gens, x)))
+        out.append(x)
     return tuple(out)
 
 
@@ -257,7 +257,7 @@ def gens_with_invariant_factors(rng: random.Random, factors, dim: int):
 def _reference_simplex_points_below(f: Fan, simplex, fn, cap: Fraction):
     gens = f.cone_gens(simplex)
     vals = [Fraction(dot(fn, g)) for g in gens]
-    for b, _ in box_points(gens, f.rank):
+    for b in box_points(gens, f.rank):
         base = Fraction(dot(fn, b))
         if base > cap:
             continue
@@ -300,7 +300,7 @@ def reference_global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     best = min(key(Fraction(v), r) for v, r in zip(ray_vals, f.rays))
     for c, fn, simplices in zip(f.max_cones, a.functionals, _triangulated(f)):
         for simplex in simplices:
-            for x, _ in box_points(f.cone_gens(simplex), f.rank):
+            for x in box_points(f.cone_gens(simplex), f.rank):
                 if is_zero(x):
                     continue
                 count += 1
@@ -350,7 +350,7 @@ def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau, zero_cap: int = 3) -> Ml
     for simplex in simplices:
         sgens = f.cone_gens(simplex)
         svals = [Fraction(dot(fn, g)) for g in sgens]
-        for bpt, _ in box_points(sgens, f.rank):
+        for bpt in box_points(sgens, f.rank):
             base = Fraction(dot(fn, bpt))
             ranges = []
             for v in svals:
@@ -380,14 +380,16 @@ def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau, zero_cap: int = 3) -> Ml
     return MldReport(closed, None, count, "zero_on_boundary_infimum")
 
 
-def reference_relative_mld(f, b: ToricDivisor, tau_z, eps, radius: int = 10_000):
+def reference_relative_mld(
+    f, b: ToricDivisor, tau_z, eps, radius: int = 10_000, budget: int = 2_000_000
+):
     eps = Fraction(eps)
     tau_z = tuple(sorted(set(int(i) for i in tau_z)))
     src, nz, nx = f.source, f.target.rank, f.source.rank
     a = log_discrepancy_function(src, b)
     tgens = f.target.cone_gens(tau_z)
     teq, tineq = hrep(tgens, nz)
-    maps_into_relint = _relint_test(f, teq, tineq)
+    maps_into_relint = _relint_test(_pullback(f, teq), _pullback(f, tineq))
 
     relevant = []
     best = None
@@ -453,13 +455,12 @@ def reference_relative_mld(f, b: ToricDivisor, tau_z, eps, radius: int = 10_000)
     if lower >= eps:
         return CertifiedAtLeast(lower)
 
-    budget = 2_000_000
     found = [(cap, (_norm_key(wit0), wit0))]
     for c, fn, gens, _ in relevant:
         for t in triangulate(gens, nx):
             sgens = tuple(gens[i] for i in t)
             svals = [Fraction(dot(fn, g)) for g in sgens]
-            for bpt, _ in box_points(sgens, nx):
+            for bpt in box_points(sgens, nx):
                 base = Fraction(dot(fn, bpt))
                 ranges = []
                 for v in svals:
@@ -511,7 +512,7 @@ def reference_fiber_cones_minimum(f, a, w):
         points = list(gens)
         for simplex in triangulate(gens, src.rank):
             sgens = tuple(gens[i] for i in simplex)
-            points.extend(p for p, _ in box_points(sgens, src.rank) if not is_zero(p))
+            points.extend(p for p in box_points(sgens, src.rank) if not is_zero(p))
         for p in points:
             val = a(p)
             if worst is None or val < worst:

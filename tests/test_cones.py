@@ -2,7 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from helpers import gens_with_invariant_factors, reference_box_points
 from toricmld.cones import (
     barycentric,
     box_points,
+    capped_points,
     contains,
     covered_by,
     cut,
@@ -138,16 +139,27 @@ def test_triangulation_covers(gens, data):
     assert inside == in_simplex
 
 
-def test_box_points_example():
-    pts = box_points(((1, 0), (1, 2)), 2)
-    assert sorted(p for p, _ in pts) == [(0, 0), (1, 1)]
-    for p, c in pts:
+def _assert_in_box(gens, pts):
+    """Each point's coefficients, from an exact rational solve, lie in
+    [0, 1)^d and reconstruct the point."""
+    dim = len(pts[0])
+    for p in pts:
+        c = barycentric(gens, p)
+        assert c is not None
         assert all(0 <= t < 1 for t in c)
+        assert tuple(sum(c[i] * g[j] for i, g in enumerate(gens)) for j in range(dim)) == p
+
+
+def test_box_points_example():
+    gens = ((1, 0), (1, 2))
+    pts = box_points(gens, 2)
+    assert sorted(pts) == [(0, 0), (1, 1)]
+    _assert_in_box(gens, pts)
 
 
 def test_box_points_lower_dimensional():
     pts = box_points(((1, 1, 0), (1, -1, 0)), 3)
-    assert sorted(p for p, _ in pts) == [(0, 0, 0), (1, 0, 0)]
+    assert sorted(pts) == [(0, 0, 0), (1, 0, 0)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,18 +171,14 @@ def test_box_count_is_index(gens):
     if rank(gens) != len(gens):
         return
     pts = box_points(gens, dim)
-    assert len(set(p for p, _ in pts)) == len(pts)
-    for p, c in pts:
-        assert all(0 <= t < 1 for t in c)
-        assert tuple(sum(c[i] * g[j] for i, g in enumerate(gens)) for j in range(dim)) == p
+    assert len(set(pts)) == len(pts)
+    _assert_in_box(gens, pts)
 
 
 def _assert_same_as_reference(gens, dim):
     new = box_points(gens, dim)
-    ref = reference_box_points(gens, dim)
-    assert new == ref
-    # Fractions compare by value; the reprs pin the exact reduced form too
-    assert [repr(c) for _, c in new] == [repr(c) for _, c in ref]
+    assert new == reference_box_points(gens, dim)
+    _assert_in_box(gens, new)
 
 
 @settings(max_examples=120, deadline=None)
@@ -202,6 +210,58 @@ def test_box_points_match_reference_repeated_factors(steps, extra_dim, seed):
 def test_box_points_repeated_factor_examples():
     # det 4 with invariant factors (2, 2): the four half-lattice corners
     pts = box_points(((2, 0), (0, 2)), 2)
-    assert [p for p, _ in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(pts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     _assert_same_as_reference(((2, 0), (0, 2)), 2)
     _assert_same_as_reference(((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)), 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple), min_size=1, max_size=d
+        ).map(tuple)
+    ),
+    st.data(),
+)
+def test_capped_points_match_brute_force(gens, data):
+    """capped_points yields each lattice point x of the simplicial cone with
+    m·x <= capn, at most cap multiples of each generator with m·g > 0 and at
+    most zero_cap of each with m·g = 0, exactly once; every other element of
+    its walk is (n, None) with n > capn.  The reference scans a box of Z^dim
+    with contains and reads the multiples off barycentric coordinates.  The
+    functional is a nonnegative combination of the facet normals plus span
+    equations, so some generators may sit at level zero."""
+    dim = len(gens[0])
+    if rank(gens) != len(gens):
+        return
+    eqs, ineqs = hrep(gens, dim)
+    m = [0] * dim
+    for row, lo in [(r, -2) for r in eqs] + [(r, 0) for r in ineqs]:
+        c = data.draw(st.integers(lo, 2))
+        m = [a + c * b for a, b in zip(m, row)]
+    capn = data.draw(st.integers(-1, 10))
+    zero_cap = data.draw(st.integers(0, 2))
+    cap = data.draw(st.none() | st.integers(0, 3))
+    vals = [dot(m, g) for g in gens]
+    limits = [
+        zero_cap if v == 0 else capn // v if cap is None else min(cap, capn // v) for v in vals
+    ]
+    radius = [sum((k + 1) * abs(g[j]) for k, g in zip(limits, gens)) for j in range(dim)]
+    if math.prod(2 * r + 1 for r in radius) > 20_000:
+        return
+
+    walk = list(capped_points(gens, dim, m, capn, zero_cap, cap))
+    for n, x in walk:
+        assert n > capn if x is None else n == dot(m, x) <= capn
+    got = [x for _, x in walk if x is not None]
+    assert len(set(got)) == len(got)
+
+    want = set()
+    for x in product(*(range(-r, r + 1) for r in radius)):
+        if not contains(gens, dim, x) or dot(m, x) > capn:
+            continue
+        ks = [math.floor(t) for t in barycentric(gens, x)]
+        if all(k <= zero_cap if v == 0 else cap is None or k <= cap for k, v in zip(ks, vals)):
+            want.add(x)
+    assert set(got) == want

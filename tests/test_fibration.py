@@ -32,6 +32,7 @@ from toricmld.errors import (
 from toricmld.fans import fan, locate, point_fan
 from toricmld.fibration import (
     _faces_of,
+    _pullback,
     _relint_test,
     CertifiedAtLeast,
     Exact,
@@ -314,7 +315,8 @@ def test_relint_test_matches_locate(seed):
         ys.append(tuple(sum(rng.randint(1, 3) * g[j] for g in gens) for j in range(n)))
     located = [(mat_vec(u, y), locate(tgt, y)) for y in ys]
     for tau in taus:
-        in_relint = _relint_test(f, *hrep(tgt.cone_gens(tau), n))
+        eqs, ineqs = hrep(tgt.cone_gens(tau), n)
+        in_relint = _relint_test(_pullback(f, eqs), _pullback(f, ineqs))
         for x, loc in located:
             assert in_relint(x) == (loc is not None and loc.cone == tau)
 

@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from helpers import (
     reference_relative_mld,
     reference_sublevel_points,
 )
-from toricmld import fibration
+from toricmld import cones, fibration
 from toricmld.bounds import _fiber_cones_minimum
 from toricmld.cli import main
 from toricmld.divisors import divisor, log_discrepancy_function
@@ -214,6 +215,36 @@ def test_relative_mld_search_matches_fraction_scan(monkeypatch):
     assert kinds.count((True, "Exact")) >= 5
     assert kinds.count((True, "Witness")) >= 2
     assert kinds.count((False, "Indeterminate")) >= 3
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget):
+    """A search that runs out of budget stops at the same element of the
+    walk as the reference and returns what the reference returns.  The walk
+    is counted through cones.capped_points: every element, including those
+    above the cap, is charged, so it never hands over more than `budget`
+    elements, and it ran out when it handed over exactly `budget`."""
+    pulled = [0]
+    walk = cones.capped_points
+
+    def counting_walk(*args, **kwargs):
+        for point in walk(*args, **kwargs):
+            pulled[0] += 1
+            yield point
+
+    monkeypatch.setattr(cones, "capped_points", counting_walk)
+    monkeypatch.setattr(fibration, "_SEARCH_BUDGET", budget)
+    exhausted = 0
+    for seed in range(60):
+        f, b, tau, eps, radius = relative_case(random.Random(seed), seed % 3)
+        if all(1 - c > 0 for c in b.coeffs):
+            continue
+        pulled[0] = 0
+        res = outcome(relative_mld, f, b, tau, eps, radius=radius)
+        assert pulled[0] <= budget
+        exhausted += pulled[0] == budget
+        same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius, budget=budget))
+    assert exhausted >= 5
 
 
 @settings(max_examples=40, deadline=None)
