@@ -32,12 +32,14 @@ from .errors import (
 )
 from .fans import Fan, fan, star_subdivision
 from .fibration import (
+    BudgetExhausted,
     CertifiedAtLeast,
     Exact,
     Indeterminate,
     ToricMorphism,
     Witness,
     average_boundary,
+    check_radius,
     discriminant_divisor,
     lc_thresholds,
     morphism,
@@ -180,6 +182,9 @@ def _rel_mld_check(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses
         ok = False
         measurements.append(("relative_mld_upper_bound", res.value))
         witnesses.append(("relative_mld_witness", res.v))
+    elif isinstance(res, BudgetExhausted):
+        ok = False
+        measurements.append(("relative_mld_search_budget_exhausted_after", res.searched))
     else:
         assert isinstance(res, Indeterminate)
         ok = False
@@ -195,6 +200,7 @@ def verify_fano_contraction_theorem(
     at most 1/delta(r, eps) over the given base ray, and that the base
     itself is delta(r, eps)-lc there when its canonical class allows the
     comparison."""
+    check_radius(radius)
     f, b, tau_z = _unpack(f, b, tau_z)
     eps = Fraction(eps)
     if len(tau_z) != 1:
@@ -245,6 +251,7 @@ def verify_adjunction_theorem(
     """Check that after averaging the boundary with the full invariant
     boundary at weight 1/r!, the induced base pair is delta(r, eps)-lc at
     tau_z, and at any probed exceptional rays over the base."""
+    check_radius(radius)
     f, b, tau_z = _unpack(f, b, tau_z)
     eps = Fraction(eps)
     diag = validate_morphism(f)
@@ -303,6 +310,7 @@ def verify_lc_complement_theorem(
     """Check that adding delta(r, eps) times the fiber over the base ray
     to the smaller boundary keeps log discrepancies nonnegative on every
     cone whose image contains that ray."""
+    check_radius(radius)
     if isinstance(f, FamilyInstance):
         f = f.f
     eps = Fraction(eps)

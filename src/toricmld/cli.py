@@ -38,6 +38,7 @@ from .divisors import (
 from .errors import ParseError, ToricError, ValidationError
 from .fans import Fan
 from .fibration import (
+    BudgetExhausted,
     CertifiedAtLeast,
     Exact,
     Indeterminate,
@@ -233,6 +234,8 @@ def cmd_rel_mld(args):
         payload = {"status": "certified_at_least", "bound": res.bound}
     elif isinstance(res, Witness):
         payload = {"status": "witness", "value": res.value, "witness": list(res.v)}
+    elif isinstance(res, BudgetExhausted):
+        payload = {"status": "budget_exhausted", "radius": res.radius, "searched": res.searched}
     else:
         assert isinstance(res, Indeterminate)
         payload = {"status": "indeterminate", "radius": res.radius}

@@ -3,8 +3,8 @@
 A cone is passed around as a tuple of integer generator vectors together
 with the ambient dimension (generators alone cannot tell the dimension when
 the tuple is empty).  H-representations are {x : E x = 0, F x >= 0} with
-integer primitive rows, computed by facet enumeration inside the span, and
-cached on the (gens, dim) key.
+integer primitive rows, found by integer kernels in Z^dim itself (no change
+of coordinates into the span) and cached on the (gens, dim) key.
 
 Box points (the lattice points of a half-open parallelepiped spanned by
 independent generators) are enumerated with integer residues over the Smith
@@ -33,13 +33,10 @@ from .intlinalg import (
     det,
     dot,
     identity,
-    invert_rational,
     is_zero,
     kernel_basis,
-    mat_vec,
     primitive,
     rank,
-    scale_to_integer,
     smith_normal_form,
     solve_exact,
     transpose,
@@ -71,44 +68,32 @@ def span_coordinates(basis: Mat, v) -> Vec:
     return tuple(int(x) for x in sol)
 
 
-def _full_dim_facets(gens_d, d: int) -> tuple[Vec, ...]:
-    """Facet normals of a cone spanning all of R^d, inward, primitive."""
+@lru_cache(maxsize=None)
+def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(equations, inequalities) with cone(gens) = {E x = 0, F x >= 0}.
+
+    A facet normal is the kernel line of d - 1 generators stacked with E,
+    d = dim - len(E) the dimension of the span; orthogonal to E, it lies in
+    the span.  It is kept, inward, unless generators lie on both sides.
+    """
+    gens = tuple(g for g in gens if not is_zero(g))
+    eqs = span_equations(gens, dim)
+    if not gens:
+        return eqs, ()
     out = set()
-    for subset in combinations(gens_d, d - 1):
-        ker = _kernel(subset, d)
+    for subset in combinations(gens, dim - len(eqs) - 1):
+        ker = _kernel(subset + eqs, dim)
         if len(ker) != 1:
             continue
         m = ker[0]
-        pos = any(dot(m, g) > 0 for g in gens_d)
-        neg = any(dot(m, g) < 0 for g in gens_d)
+        pos = any(dot(m, g) > 0 for g in gens)
+        neg = any(dot(m, g) < 0 for g in gens)
         if pos and neg:
             continue
         if neg:
             m = tuple(-x for x in m)
         out.add(primitive(m))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(equations, inequalities) with cone(gens) = {E x = 0, F x >= 0}."""
-    gens = tuple(g for g in gens if not is_zero(g))
-    eqs = span_equations(gens, dim)
-    if not gens:
-        return eqs, ()
-    basis = span_lattice_basis(gens, dim)
-    d = len(basis)
-    gens_d = tuple(span_coordinates(basis, g) for g in gens)
-    facets_d = _full_dim_facets(gens_d, d)
-    # lift a span functional m_d back to Z^dim: m(x) = m_d(coords(x)), and
-    # coords(x) = (B B^T)^{-1} B x on the span
-    bbt_inv = invert_rational(tuple(tuple(dot(r1, r2) for r2 in basis) for r1 in basis))
-    lifted = []
-    for m_d in facets_d:
-        w = mat_vec(transpose(bbt_inv), m_d)
-        row = tuple(sum(w[i] * basis[i][j] for i in range(d)) for j in range(dim))
-        lifted.append(primitive(scale_to_integer(row)))
-    return eqs, tuple(sorted(lifted))
+    return eqs, tuple(sorted(out))
 
 
 def contains(gens: tuple[Vec, ...], dim: int, x) -> bool:

@@ -285,10 +285,22 @@ class Indeterminate:
     radius: int
 
 
-RelMldResult = Exact | CertifiedAtLeast | Witness | Indeterminate
+@dataclass(frozen=True)
+class BudgetExhausted:  # the search stopped at the budget, short of the radius
+    radius: int
+    searched: int
+
+
+RelMldResult = Exact | CertifiedAtLeast | Witness | Indeterminate | BudgetExhausted
 
 # lattice points the radius search of relative_mld may visit
 _SEARCH_BUDGET = 2_000_000
+
+
+def check_radius(radius: int) -> None:
+    """Reject a negative search radius."""
+    if radius < 0:
+        raise DomainError(f"the search radius must be >= 0, got {radius}")
 
 
 def _relint_test(eq_src, ineq_src):
@@ -326,6 +338,7 @@ def relative_mld(
     certifies the bound, detects -infinity, or hands over to a radius-capped
     enumeration whose outcome is reported honestly.
     """
+    check_radius(radius)
     eps = Fraction(eps)
     tau_z = tuple(sorted(set(int(i) for i in tau_z)))
     if not tau_z:
@@ -429,6 +442,8 @@ def relative_mld(
         return Exact(value, wit)
     if value < eps:
         return Witness(wit, value)
+    if budget <= 0:
+        return BudgetExhausted(radius, _SEARCH_BUDGET - 1)
     return Indeterminate(radius)
 
 

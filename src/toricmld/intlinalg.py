@@ -314,36 +314,19 @@ def unimodular_inverse(m: Mat) -> Mat:
     return tuple(out)
 
 
-def complete_to_basis(v: Vec) -> Mat:
-    """A unimodular matrix whose first row is the primitive vector v.
-
-    The rows form a lattice basis extending v; raises NotPrimitive/ZeroVector
-    on bad input.
-    """
-    if is_zero(v):
-        raise ZeroVector("cannot extend the zero vector to a basis")
-    if content(v) != 1:
-        raise NotPrimitive(f"{v} has content {content(v)}")
-    n = len(v)
-    column = tuple((int(x),) for x in v)
-    h, u = hermite_normal_form(column)
-    if h[0][0] != 1:
-        raise NotPrimitive(f"{v} has content {h[0][0]}")
-    b = transpose(unimodular_inverse(u))
-    if b[0] != tuple(v):
-        raise AssertionError("basis completion lost the input vector")
-    return b
-
-
 def quotient_projection(v: Vec) -> Mat:
     """Coordinates on the quotient lattice Z^n / Z*v, as an (n-1) x n matrix.
 
     The matrix is surjective onto Z^(n-1) and its rational kernel is spanned
-    by v.
+    by v: it is rows 1.. of U from the HNF U v = (c, 0, ..., 0), where c is
+    the content of v.  Raises NotPrimitive/ZeroVector on bad input.
     """
-    b = complete_to_basis(v)
-    binv = unimodular_inverse(b)
-    proj = transpose(binv)[1:]
+    if is_zero(v):
+        raise ZeroVector("the zero vector has no quotient lattice")
+    h, u = hermite_normal_form(tuple((int(x),) for x in v))
+    if h[0][0] != 1:
+        raise NotPrimitive(f"{v} has content {h[0][0]}")
+    proj = u[1:]
     if any(x != 0 for x in mat_vec(proj, v)):
         raise AssertionError("quotient projection does not kill v")
     return proj

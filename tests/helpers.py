@@ -3,9 +3,10 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from toricmld.cones import (
+    _kernel,
     box_points,
     contains,
     cut,
@@ -13,6 +14,7 @@ from toricmld.cones import (
     relint_contains,
     relint_point,
     span_coordinates,
+    span_equations,
     span_lattice_basis,
     triangulate,
 )
@@ -20,6 +22,7 @@ from toricmld.divisors import ToricDivisor, divisor, log_discrepancy_function
 from toricmld.errors import DomainError, NoCone, NotACone
 from toricmld.fans import Fan, fan, is_cone_of, star_subdivision
 from toricmld.fibration import (
+    BudgetExhausted,
     CertifiedAtLeast,
     Exact,
     Indeterminate,
@@ -197,6 +200,47 @@ def twist_divisor(b: ToricDivisor, u) -> ToricDivisor:
     tw = twist_fan(b.fan, u)
     by_ray = {mat_vec(u, r): c for r, c in zip(b.fan.rays, b.coeffs)}
     return divisor(tw, [by_ray[r] for r in tw.rays])
+
+
+def _reference_full_dim_facets(gens_d, d: int):
+    """Facet normals of a cone spanning all of R^d, inward, primitive."""
+    out = set()
+    for subset in combinations(gens_d, d - 1):
+        ker = _kernel(subset, d)
+        if len(ker) != 1:
+            continue
+        m = ker[0]
+        pos = any(dot(m, g) > 0 for g in gens_d)
+        neg = any(dot(m, g) < 0 for g in gens_d)
+        if pos and neg:
+            continue
+        if neg:
+            m = tuple(-x for x in m)
+        out.add(primitive(m))
+    return tuple(sorted(out))
+
+
+def reference_hrep(gens, dim: int):
+    """Rational-lift reference for cones.hrep: facets are found in the
+    coordinates of a lattice basis B of the span, then lifted back to Z^dim
+    through the Gram inverse (B B^T)^{-1} and cleared of denominators."""
+    gens = tuple(g for g in gens if not is_zero(g))
+    eqs = span_equations(gens, dim)
+    if not gens:
+        return eqs, ()
+    basis = span_lattice_basis(gens, dim)
+    d = len(basis)
+    gens_d = tuple(span_coordinates(basis, g) for g in gens)
+    facets_d = _reference_full_dim_facets(gens_d, d)
+    # lift a span functional m_d back to Z^dim: m(x) = m_d(coords(x)), and
+    # coords(x) = (B B^T)^{-1} B x on the span
+    bbt_inv = invert_rational(tuple(tuple(dot(r1, r2) for r2 in basis) for r1 in basis))
+    lifted = []
+    for m_d in facets_d:
+        w = mat_vec(transpose(bbt_inv), m_d)
+        row = tuple(sum(w[i] * basis[i][j] for i in range(d)) for j in range(dim))
+        lifted.append(primitive(scale_to_integer(row)))
+    return eqs, tuple(sorted(lifted))
 
 
 def _reference_box_points_full(vmat):
@@ -456,6 +500,7 @@ def reference_relative_mld(
         return CertifiedAtLeast(lower)
 
     found = [(cap, (_norm_key(wit0), wit0))]
+    searched = 0
     for c, fn, gens, _ in relevant:
         for t in triangulate(gens, nx):
             sgens = tuple(gens[i] for i in t)
@@ -474,6 +519,7 @@ def reference_relative_mld(
                     budget -= 1
                     if budget <= 0:
                         break
+                    searched += 1
                     x = bpt
                     for n, g in zip(ns, sgens):
                         if n:
@@ -495,6 +541,8 @@ def reference_relative_mld(
         return Exact(value, wit)
     if value < eps:
         return Witness(wit, value)
+    if budget <= 0:
+        return BudgetExhausted(radius, searched)
     return Indeterminate(radius)
 
 

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import a1, p1, p2, product_fan, to_a1
+from helpers import a1, a2, identity_morphism, p1, p2, product_fan, to_a1
+from toricmld import fibration
 from toricmld.bounds import (
+    _rel_mld_check,
     FamilyInstance,
     VerificationReport,
     delta,
@@ -21,6 +23,7 @@ from toricmld.fibration import (
     generic_fiber_fan,
     morphism,
     pullback_multiplicities,
+    relative_mld,
 )
 from toricmld.mfs import q_vector
 from toricmld.singularities import is_eps_lc
@@ -202,6 +205,36 @@ class TestVerifyAdjunction:
         labels = [name for name, _ in rep.claims]
         assert "probe_1,1_mld_at_least_delta" in labels
         assert "probe_-1,2_mld_at_least_delta" in labels
+
+
+class TestSearchGate:
+    def test_negative_radius_rejected(self):
+        """Also where a failed hypothesis ends the harness before any search."""
+        inst = example_family(1, 2)
+        zero, full = zero_divisor(inst.x), boundary_divisor(inst.x)
+        eps = Fraction(1, 2)
+        calls = [
+            lambda r: relative_mld(inst.f, full, (0,), eps, radius=r),
+            lambda r: verify_fano_contraction_theorem(inst, eps=eps, radius=r),
+            lambda r: verify_adjunction_theorem(inst, zero, (0,), eps=eps, radius=r),
+            lambda r: verify_lc_complement_theorem(inst, zero, full, (0,), eps, radius=r),
+        ]
+        for call in calls:
+            call(0)
+            with pytest.raises(DomainError):
+                call(-1)
+
+    def test_budget_exhausted_is_named(self, monkeypatch):
+        monkeypatch.setattr(fibration, "_SEARCH_BUDGET", 2)
+        src = a2()
+        f = identity_morphism(src)
+        b = divisor(src, [1 if r == (0, 1) else 0 for r in src.rays])
+        hypotheses, measurements, witnesses = [], [], []
+        ok = _rel_mld_check(f, b, (0, 1), Fraction(1, 2), 3, hypotheses, measurements, witnesses)
+        assert ok is False
+        assert hypotheses == [("relative_mld_at_least_eps", False)]
+        assert measurements == [("relative_mld_search_budget_exhausted_after", 1)]
+        assert witnesses == []
 
 
 class TestVerifyLcComplement:

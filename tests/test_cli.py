@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from helpers import a1, ex13_r1_q2, p1, p2, product_fan, to_a1
+from helpers import a1, a2, ex13_r1_q2, identity_morphism, p1, p2, product_fan, to_a1
+from toricmld import fibration
 from toricmld.cli import main
 from toricmld.divisors import divisor
 from toricmld.fibration import morphism
@@ -229,6 +230,30 @@ class TestFibrationCommands:
         assert rep["payload"]["status"] == "exact"
         assert rep["payload"]["value"] == "3/5"
         assert rep["payload"]["witness"] == [0, 1]
+
+    @pytest.mark.parametrize("command", ["rel-mld", "verify-fano", "verify-adjunction"])
+    def test_negative_radius_exits_2(self, cli, command):
+        _, fam_out = cli(["example-family", "--r", "1", "--q", "2"])
+        code, out = cli([command, "--divisor", "zero", "--radius", "-3"], stdin=fam_out)
+        rep = json.loads(out)
+        assert code == 2
+        assert rep["payload"]["error"] == "DomainError"
+
+    def test_rel_mld_budget_exhausted(self, cli, tmp_path, monkeypatch):
+        monkeypatch.setattr(fibration, "_SEARCH_BUDGET", 5)
+        src = a2()
+        mpath = write_doc(tmp_path, "a2.json", morphism_doc(identity_morphism(src)))
+        b = divisor(src, [1 if r == (0, 1) else 0 for r in src.rays])
+        dpath = write_doc(tmp_path, "b.json", divisor_doc(b))
+        code, out = cli(
+            ["rel-mld", "--morphism", mpath, "--divisor", dpath, "--cone", "0,1", "--radius", "3"]
+        )
+        assert code == 0
+        assert json.loads(out)["payload"] == {
+            "status": "budget_exhausted",
+            "radius": 3,
+            "searched": 4,
+        }
 
     def test_factor_mfs_piped(self, cli):
         _, fam_out = cli(["example-family", "--r", "2", "--q", "2"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gens_with_invariant_factors, reference_box_points
+from helpers import gens_with_invariant_factors, reference_box_points, reference_hrep
 from toricmld.cones import (
     barycentric,
     box_points,
@@ -59,6 +59,33 @@ def test_hrep_matches_lp_membership(gens, data):
         assert contains(gens, dim, g)
     x = tuple(data.draw(st.lists(small, min_size=dim, max_size=dim)))
     assert contains(gens, dim, x) == in_cone_lp(gens, x)
+
+
+@st.composite
+def spanned_gen_sets(draw):
+    """(gens, dim): 0-8 generators in Z^dim, dim 1-5, drawn as integer
+    combinations of k <= dim random vectors, so that spans of every
+    dimension occur; zero and repeated generators included."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=dim))
+    vec = st.lists(small, min_size=dim, max_size=dim)
+    basis = draw(st.lists(vec, min_size=k, max_size=k))
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=k, max_size=k)
+    n = draw(st.integers(min_value=0, max_value=7))
+    gens = [
+        tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(dim))
+        for cs in draw(st.lists(coeffs, min_size=n, max_size=n))
+    ]
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), draw(st.sampled_from(gens)))
+    return tuple(gens), dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanned_gen_sets())
+def test_hrep_matches_rational_lift_reference(case):
+    gens, dim = case
+    assert hrep(gens, dim) == reference_hrep(gens, dim)
 
 
 @settings(max_examples=100, deadline=None)

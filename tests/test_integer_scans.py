@@ -29,7 +29,13 @@ from toricmld.bounds import _fiber_cones_minimum
 from toricmld.cli import main
 from toricmld.divisors import divisor, log_discrepancy_function
 from toricmld.fans import fan
-from toricmld.fibration import _faces_of, lc_threshold_over, lc_thresholds, relative_mld
+from toricmld.fibration import (
+    BudgetExhausted,
+    _faces_of,
+    lc_threshold_over,
+    lc_thresholds,
+    relative_mld,
+)
 from toricmld.singularities import global_mld, mld_at_cone, sublevel_points
 
 
@@ -223,7 +229,9 @@ def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget
     walk as the reference and returns what the reference returns.  The walk
     is counted through cones.capped_points: every element, including those
     above the cap, is charged, so it never hands over more than `budget`
-    elements, and it ran out when it handed over exactly `budget`."""
+    elements, and it ran out when it handed over exactly `budget`.  A search
+    that ran out and found neither the lower bound nor a point below eps
+    returns BudgetExhausted, never Indeterminate."""
     pulled = [0]
     walk = cones.capped_points
 
@@ -235,6 +243,7 @@ def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget
     monkeypatch.setattr(cones, "capped_points", counting_walk)
     monkeypatch.setattr(fibration, "_SEARCH_BUDGET", budget)
     exhausted = 0
+    reported = 0
     for seed in range(60):
         f, b, tau, eps, radius = relative_case(random.Random(seed), seed % 3)
         if all(1 - c > 0 for c in b.coeffs):
@@ -242,9 +251,16 @@ def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget
         pulled[0] = 0
         res = outcome(relative_mld, f, b, tau, eps, radius=radius)
         assert pulled[0] <= budget
-        exhausted += pulled[0] == budget
+        if pulled[0] == budget:
+            exhausted += 1
+            assert not isinstance(res, fibration.Indeterminate)
+        if isinstance(res, BudgetExhausted):
+            assert pulled[0] == budget
+            assert res == BudgetExhausted(radius, budget - 1)
+            reported += 1
         same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius, budget=budget))
     assert exhausted >= 5
+    assert reported >= 1
 
 
 @settings(max_examples=40, deadline=None)

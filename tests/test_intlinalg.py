@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from toricmld.errors import NotPrimitive, ZeroVector
 from toricmld.intlinalg import (
-    complete_to_basis,
     det,
     hermite_normal_form,
     identity,
@@ -167,32 +166,6 @@ def test_det_examples():
     assert det(((1, 2), (2, 4))) == 0
 
 
-def test_complete_to_basis_examples():
-    assert complete_to_basis((1, 0)) == ((1, 0), (0, 1))
-    b = complete_to_basis((2, 3))
-    assert b[0] == (2, 3)
-    assert abs(det(b)) == 1
-
-
-def test_complete_to_basis_rejects():
-    with pytest.raises(NotPrimitive):
-        complete_to_basis((2, 4))
-    with pytest.raises(ZeroVector):
-        complete_to_basis((0, 0))
-
-
-@settings(max_examples=200)
-@given(st.lists(ints, min_size=1, max_size=5))
-def test_complete_to_basis_properties(entries):
-    v = tuple(entries)
-    if all(x == 0 for x in v):
-        return
-    v = primitive(v)
-    b = complete_to_basis(v)
-    assert b[0] == v
-    assert abs(det(b)) == 1
-
-
 @settings(max_examples=200)
 @given(st.lists(ints, min_size=2, max_size=5))
 def test_quotient_projection_properties(entries):
@@ -205,6 +178,13 @@ def test_quotient_projection_properties(entries):
     assert mat_vec(p, v) == (0,) * (len(v) - 1)
     d, _, _ = smith_normal_form(p)
     assert [d[i][i] for i in range(len(p))] == [1] * len(p)
+
+
+def test_quotient_projection_rejects():
+    with pytest.raises(NotPrimitive):
+        quotient_projection((2, 4))
+    with pytest.raises(ZeroVector):
+        quotient_projection((0, 0))
 
 
 def test_unimodular_inverse():
