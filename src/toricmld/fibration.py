@@ -286,7 +286,7 @@ class Indeterminate:
 
 
 @dataclass(frozen=True)
-class BudgetExhausted:  # the search stopped at the budget, short of the radius
+class BudgetExhausted:  # the search examined `searched` elements, its budget, and stopped
     radius: int
     searched: int
 
@@ -416,7 +416,9 @@ def relative_mld(
         return CertifiedAtLeast(lower)
 
     # 0 <= lower < eps: radius-capped direct search; every element of the
-    # walk, above the cap or not, is charged to the budget
+    # walk, above the cap or not, is examined and then charged to the budget.
+    # The walk is not drawn past the budget, so one that ends exactly there
+    # is reported as exhausted too
     budget = _SEARCH_BUDGET
     found = [(capn, (_norm_key(wit0), wit0))]
     walk = (
@@ -428,11 +430,11 @@ def relative_mld(
         )
     )
     for n, x in walk:
+        if x is not None and not is_zero(x) and maps_into_relint(x):
+            found.append((n, (_norm_key(x), x)))
         budget -= 1
         if budget <= 0:
             break
-        if x is not None and not is_zero(x) and maps_into_relint(x):
-            found.append((n, (_norm_key(x), x)))
     value, wit = _pick_witness(found)
     value = Fraction(value, den)
     if not is_primitive(wit):
@@ -443,7 +445,7 @@ def relative_mld(
     if value < eps:
         return Witness(wit, value)
     if budget <= 0:
-        return BudgetExhausted(radius, _SEARCH_BUDGET - 1)
+        return BudgetExhausted(radius, _SEARCH_BUDGET - budget)
     return Indeterminate(radius)
 
 

@@ -5,6 +5,12 @@ matrices are tuples of row tuples acting on column vectors:
 ``mat_vec(M, v)[i] == sum_j M[i][j] * v[j]``.  Nothing here ever touches
 floating point.
 
+Rational elimination is fraction-free: ``gauss_jordan`` (behind
+``solve_exact`` and ``invert_rational``) and the simplex in ``ratlp``, through
+``unit_pivot`` and ``eliminate``, keep each row as integer numerators over
+one positive row denominator (``clear_denominators``) and reduce a row by
+its gcd after each row operation; only the values returned are Fractions.
+
 Normal form conventions (fixed so serialized output is deterministic):
 
 * ``hermite_normal_form`` is row-style, ``U @ M = H`` with ``|det U| = 1``,
@@ -90,13 +96,20 @@ def is_primitive(v: Vec) -> bool:
     return content(v) == 1
 
 
+def clear_denominators(v) -> tuple[list[int], int]:
+    """(nums, den) with v[i] == nums[i] / den and den > 0 the lcm of the
+    denominators, so gcd(den, *nums) == 1."""
+    qs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in v]
+    dens = [q.denominator for q in qs]
+    den = math.lcm(*dens)
+    if den == 1:
+        return [q.numerator for q in qs], 1
+    return [q.numerator * (den // d) for q, d in zip(qs, dens)], den
+
+
 def scale_to_integer(v) -> Vec:
     """Clear denominators of a rational vector (content not reduced)."""
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for x in fracs:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return tuple(int(x * lcm) for x in fracs)
+    return tuple(clear_denominators(v)[0])
 
 
 def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
@@ -257,50 +270,87 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
 
 def solve_exact(a, b) -> QVec | None:
     """One exact solution of a @ x = b (free variables set to 0), or None."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+    ncols = len(a[0]) if a else 0
+    aug, dens = _rows([(*row, b[i]) for i, row in enumerate(a)])
+    pivots = gauss_jordan(aug, dens, ncols)
+    if any(aug[i][ncols] for i in range(len(pivots), len(a))):
         return None
     x = [Fraction(0)] * ncols
     for ri, ci in pivots:
-        x[ci] = aug[ri][ncols]
+        x[ci] = Fraction(aug[ri][ncols], dens[ri])
     return tuple(x)
 
 
 def invert_rational(m) -> QMat:
     """Inverse of a square matrix over the rationals."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
+    aug, dens = _rows(m)
+    for i, (row, den) in enumerate(zip(aug, dens)):
+        row.extend(den if i == j else 0 for j in range(n))
+    if len(gauss_jordan(aug, dens, n)) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(Fraction(x, den) for x in row[n:]) for row, den in zip(aug, dens))
+
+
+def _rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Rational rows as (numerator rows, row denominators)."""
+    pairs = [clear_denominators(row) for row in rows]
+    return [nums for nums, _ in pairs], [den for _, den in pairs]
+
+
+def gauss_jordan(rows: list[list[int]], dens: list[int], ncols: int) -> list[tuple[int, int]]:
+    """Reduce rows[i] / dens[i] in place to reduced row echelon form in the
+    first ncols columns, pivoting on the first nonzero row of each column.
+    Returns the (row, column) pivots; the rows below them are zero there.
+
+    Fraction-free: each row stays integer numerators over one positive row
+    denominator, reduced by their gcd after every row operation.
+    """
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        dens[r], dens[pr] = dens[pr], dens[r]
+        dens[r], rows[r] = unit_pivot(rows[r], c)
+        eliminate(rows, dens, r, c)
+        pivots.append((r, c))
+    return pivots
+
+
+def unit_pivot(row: list[int], c: int) -> tuple[int, list[int]]:
+    """(den, nums) of the row divided by its own entry in column c: the
+    numerators over the entry, sign-fixed so den > 0, gcd-reduced."""
+    p = row[c]
+    if p < 0:
+        row = [-x for x in row]
+        p = -p
+    g = math.gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+        p //= g
+    return p, row
+
+
+def eliminate(rows: list[list[int]], dens: list[int], r: int, c: int) -> None:
+    """Clear column c from every row but r, whose entry there is 1:
+    row_i - f * row_r is (x * p - f * y) / (den_i * p) with f the numerator
+    of row_i in column c and p the denominator of row r."""
+    piv, p = rows[r], dens[r]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            d = dens[i] * p
+            new = [x * p - f * y for x, y in zip(row, piv)]
+            g = math.gcd(d, *new)
+            if g > 1:
+                new = [x // g for x in new]
+                d //= g
+            rows[i], dens[i] = new, d
 
 
 def unimodular_inverse(m: Mat) -> Mat:

@@ -53,7 +53,15 @@ from toricmld.intlinalg import (
     vec_scale,
     vec_sub,
 )
-from toricmld.ratlp import Unbounded, cone_lp, solve_min
+from toricmld.ratlp import (
+    ConeLP,
+    Infeasible,
+    LPStatus,
+    Optimal,
+    Unbounded,
+    cone_lp,
+    solve_min,
+)
 from toricmld.singularities import MINUS_INFINITY, MldReport, _triangulated
 
 
@@ -516,17 +524,16 @@ def reference_relative_mld(
                         hi = radius
                     ranges.append(range(hi + 1))
                 for ns in product(*ranges):
-                    budget -= 1
-                    if budget <= 0:
-                        break
                     searched += 1
                     x = bpt
                     for n, g in zip(ns, sgens):
                         if n:
                             x = vec_add(x, vec_scale(n, g))
-                    if is_zero(x) or not maps_into_relint(x):
-                        continue
-                    found.append((Fraction(dot(fn, x)), (_norm_key(x), x)))
+                    if not is_zero(x) and maps_into_relint(x):
+                        found.append((Fraction(dot(fn, x)), (_norm_key(x), x)))
+                    budget -= 1
+                    if budget <= 0:
+                        break
                 if budget <= 0:
                     break
             if budget <= 0:
@@ -584,3 +591,181 @@ def random_half_plane_fibration(rng: random.Random, extra_rank: int = 0) -> Tori
     if extra_rank:
         src = product_fan(p1(), src)
     return to_a1(src)
+
+
+# The all-Fraction simplex and Gauss-Jordan eliminations that the
+# fraction-free ratlp.simplex_min/solve_min and intlinalg.solve_exact and
+# invert_rational replaced, kept as differential references: same pivots,
+# so the same results to the repr.
+
+
+def reference_simplex_min(c, a, b):
+    """min c.lam over {lam >= 0 : a lam = b}, exact two-phase simplex.
+
+    Returns ("optimal", lam, y) with dual y, ("infeasible", y) with a Farkas
+    vector (y.a <= 0 componentwise, y.b > 0), or ("unbounded", d) with a
+    recession direction d >= 0, a d = 0, c.d < 0.
+    """
+    ncols = len(c)
+    nrows = len(a)
+    c = [Fraction(x) for x in c]
+    rows = [[Fraction(x) for x in row] for row in a]
+    rhs = [Fraction(x) for x in b]
+    flip = [1] * nrows
+    for i in range(nrows):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+            flip[i] = -1
+    total = ncols + nrows
+    t = [rows[i] + [Fraction(int(j == i)) for j in range(nrows)] + [rhs[i]] for i in range(nrows)]
+    basis = [ncols + i for i in range(nrows)]
+    cost = [Fraction(0)] * (total + 1)
+
+    def pivot(r, col):
+        pv = t[r][col]
+        t[r] = [x / pv for x in t[r]]
+        for i in range(nrows):
+            if i != r and t[i][col]:
+                f = t[i][col]
+                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        f = cost[col]
+        if f:
+            cost[:] = [x - f * y for x, y in zip(cost, t[r])]
+        basis[r] = col
+
+    def run(allowed):
+        while True:
+            enter = next((j for j in allowed if cost[j] < 0), None)
+            if enter is None:
+                return None
+            best = None
+            for i in range(nrows):
+                if t[i][enter] > 0:
+                    ratio = t[i][total] / t[i][enter]
+                    if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                        best = (ratio, i)
+            if best is None:
+                return enter
+            pivot(best[1], enter)
+
+    for j in range(total):
+        art_cost = Fraction(1) if j >= ncols else Fraction(0)
+        cost[j] = art_cost - sum(t[i][j] for i in range(nrows))
+    cost[total] = -sum(t[i][total] for i in range(nrows))
+    run(range(total))
+    if -cost[total] > 0:
+        y = tuple(flip[i] * (1 - cost[ncols + i]) for i in range(nrows))
+        return ("infeasible", y)
+
+    # pivot leftover artificials out on zero-rhs rows; rows whose x-part is
+    # entirely zero are redundant and keep a harmless artificial at level 0
+    for r in range(nrows):
+        if basis[r] >= ncols:
+            col = next((j for j in range(ncols) if t[r][j] != 0), None)
+            if col is not None:
+                pivot(r, col)
+
+    for j in range(total):
+        cj = c[j] if j < ncols else Fraction(0)
+        cost[j] = cj - sum((c[basis[i]] if basis[i] < ncols else 0) * t[i][j] for i in range(nrows))
+    cost[total] = -sum((c[basis[i]] if basis[i] < ncols else 0) * t[i][total] for i in range(nrows))
+    enter = run(range(ncols))
+    if enter is not None:
+        d = [Fraction(0)] * ncols
+        d[enter] = Fraction(1)
+        for i in range(nrows):
+            if basis[i] < ncols:
+                d[basis[i]] = -t[i][enter]
+        return ("unbounded", tuple(d))
+    lam = [Fraction(0)] * ncols
+    for i in range(nrows):
+        if basis[i] < ncols:
+            lam[basis[i]] = t[i][total]
+    y = tuple(flip[i] * -cost[ncols + i] for i in range(nrows))
+    return ("optimal", tuple(lam), y)
+
+
+def reference_solve_min(p: ConeLP) -> LPStatus:
+    """Solve the cone program exactly; certificates are verified on return."""
+    gens = p.generators
+    k = len(p.eq_matrix)
+    cols = [tuple(dot(row, g) for row in p.eq_matrix) for g in gens]
+    chat = [Fraction(dot(p.objective, g)) for g in gens]
+    a = [[cols[j][i] for j in range(len(gens))] for i in range(k)]
+    res = reference_simplex_min(chat, a, p.rhs)
+    if res[0] == "infeasible":
+        y = res[1]
+        if any(dot(y, col) > 0 for col in cols) or dot(y, p.rhs) <= 0:
+            raise AssertionError("invalid infeasibility certificate")
+        return Infeasible(certificate=y)
+    if res[0] == "unbounded":
+        d = res[1]
+        if (
+            any(x < 0 for x in d)
+            or any(sum(d[j] * cols[j][i] for j in range(len(gens))) != 0 for i in range(k))
+            or dot(chat, d) >= 0
+        ):
+            raise AssertionError("invalid unboundedness direction")
+        xdir = tuple(sum(d[j] * g[i] for j, g in enumerate(gens)) for i in range(len(p.objective)))
+        return Unbounded(direction=xdir, multipliers=d)
+    _, lam, y = res
+    value = dot(chat, lam)
+    point = tuple(sum(lam[j] * g[i] for j, g in enumerate(gens)) for i in range(len(p.objective)))
+    ok = (
+        all(x >= 0 for x in lam)
+        and all(sum(lam[j] * cols[j][i] for j in range(len(gens))) == p.rhs[i] for i in range(k))
+        and all(dot(y, cols[j]) <= chat[j] for j in range(len(gens)))
+        and dot(y, p.rhs) == value
+    )
+    if not ok:
+        raise AssertionError("optimal result failed its duality check")
+    return Optimal(value=Fraction(value), point=point, multipliers=lam, dual=y)
+
+
+def reference_solve_exact(a, b):
+    """One exact solution of a @ x = b (free variables set to 0), or None."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return None
+    x = [Fraction(0)] * ncols
+    for ri, ci in pivots:
+        x[ci] = aug[ri][ncols]
+    return tuple(x)
+
+
+def reference_invert_rational(m):
+    """Inverse of a square matrix over the rationals."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pr is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)

@@ -233,7 +233,7 @@ class TestSearchGate:
         ok = _rel_mld_check(f, b, (0, 1), Fraction(1, 2), 3, hypotheses, measurements, witnesses)
         assert ok is False
         assert hypotheses == [("relative_mld_at_least_eps", False)]
-        assert measurements == [("relative_mld_search_budget_exhausted_after", 1)]
+        assert measurements == [("relative_mld_search_budget_exhausted_after", 2)]
         assert witnesses == []
 
 

@@ -252,7 +252,7 @@ class TestFibrationCommands:
         assert json.loads(out)["payload"] == {
             "status": "budget_exhausted",
             "radius": 3,
-            "searched": 4,
+            "searched": 5,
         }
 
     def test_factor_mfs_piped(self, cli):

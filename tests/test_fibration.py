@@ -14,12 +14,14 @@ from helpers import (
     p2,
     random_fan,
     random_gl,
+    random_half_plane_fibration,
     random_unimodular,
     to_a1,
     product_fan,
     twist_divisor,
     twist_fan,
 )
+from toricmld.bounds import example_family
 from toricmld.cones import hrep
 from toricmld.divisors import boundary_divisor, divisor, zero_divisor
 from toricmld.errors import (
@@ -47,7 +49,7 @@ from toricmld.fibration import (
     relative_mld,
     validate_morphism,
 )
-from toricmld.intlinalg import mat_mul, mat_vec, unimodular_inverse
+from toricmld.intlinalg import dot, mat_mul, mat_vec, unimodular_inverse
 from toricmld.singularities import MINUS_INFINITY, global_mld
 
 
@@ -360,3 +362,58 @@ def test_relative_mld_coordinate_invariant(case):
         moved = relative_mld(g, moved_b, moved_tau, eps, radius=100)
         assert isinstance(moved, Exact)
         assert moved.value == res.value
+
+
+def _lp_invariants(f, boundaries):
+    """The lc threshold over every target ray and the discriminant
+    thresholds for each boundary; an exception stands as its type name."""
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return type(exc).__name__
+
+    out = []
+    for b in boundaries:
+        out.extend(outcome(lc_threshold_over, f, b, w) for w in range(len(f.target.rays)))
+        out.append(outcome(lambda: discriminant_divisor(f, b).thresholds))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_lp_invariants_under_source_coordinates(seed):
+    """A random GL_n(Z) change of source coordinates (rays U v, matrix
+    M U^-1, boundary carried ray by ray) leaves every lc threshold over a
+    target ray, the discriminant thresholds and the pull-back multiplicities
+    (with their rays mapped by U) unchanged, on example_family(1|2, q) and
+    on random half-plane fibrations."""
+    rng = random.Random(seed)
+    if seed % 3 == 2:
+        f = random_half_plane_fibration(rng, rng.randint(0, 1))
+    else:
+        f = example_family(seed % 3 + 1, rng.randint(2, 4)).f
+    src = f.source
+    # boundaries: zero, reduced, random in [0, 1), and one with K + B
+    # trivial over the base (A = m on every ray, m the pulled-back base
+    # functional plus a random part), which reaches the discriminant
+    m = tuple(Fraction(rng.randint(0, 2), 3) * x for x in f.matrix[0])
+    m = tuple(x + Fraction(rng.randint(-1, 1), rng.randint(2, 5)) for x in m)
+    boundaries = [
+        zero_divisor(src),
+        boundary_divisor(src),
+        divisor(src, [Fraction(rng.randrange(4), 4) for _ in src.rays]),
+        divisor(src, [1 - dot(m, v) for v in src.rays]),
+    ]
+    expected = _lp_invariants(f, boundaries)
+    assert any(isinstance(x, Fraction) for x in expected)
+    for _ in range(2):
+        u = random_gl(rng, src.rank)
+        moved = [twist_divisor(b, u) for b in boundaries]
+        g = morphism(mat_mul(f.matrix, unimodular_inverse(u)), moved[0].fan, f.target)
+        assert _lp_invariants(g, moved) == expected
+        for w in range(len(f.target.rays)):
+            assert sorted(pullback_multiplicities(g, w)) == sorted(
+                (mat_vec(u, v), c) for v, c in pullback_multiplicities(f, w)
+            )

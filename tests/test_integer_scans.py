@@ -256,7 +256,7 @@ def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget
             assert not isinstance(res, fibration.Indeterminate)
         if isinstance(res, BudgetExhausted):
             assert pulled[0] == budget
-            assert res == BudgetExhausted(radius, budget - 1)
+            assert res == BudgetExhausted(radius, budget)
             reported += 1
         same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius, budget=budget))
     assert exhausted >= 5
