@@ -3,8 +3,17 @@
 A cone is passed around as a tuple of integer generator vectors together
 with the ambient dimension (generators alone cannot tell the dimension when
 the tuple is empty).  H-representations are {x : E x = 0, F x >= 0} with
-integer primitive rows, found by integer kernels in Z^dim itself (no change
-of coordinates into the span) and cached on the (gens, dim) key.
+integer primitive rows, found in Z^dim itself (no change of coordinates into
+the span): E is an integer kernel, and each facet normal is the vector of
+signed maximal minors of generators stacked with E.  They are cached on the
+(gens, dim) key in a bounded cache.
+
+``cut`` and ``intersect`` are the double-description step, for callers that
+need generators of a cut cone (the preimages in ``fibration.relative_mld``).
+``covered_by`` decides whether a union of cones covers a cone by splitting it
+along every facet hyperplane.  The library does not call it (``fibration``
+decides properness by wall gluing); the tests keep it as the reference for
+that check.
 
 Box points (the lattice points of a half-open parallelepiped spanned by
 independent generators) are enumerated with integer residues over the Smith
@@ -35,6 +44,7 @@ from .intlinalg import (
     identity,
     is_zero,
     kernel_basis,
+    minor_normal,
     primitive,
     rank,
     smith_normal_form,
@@ -68,13 +78,15 @@ def span_coordinates(basis: Mat, v) -> Vec:
     return tuple(int(x) for x in sol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(equations, inequalities) with cone(gens) = {E x = 0, F x >= 0}.
 
-    A facet normal is the kernel line of d - 1 generators stacked with E,
-    d = dim - len(E) the dimension of the span; orthogonal to E, it lies in
-    the span.  It is kept, inward, unless generators lie on both sides.
+    A facet normal is the vector of signed maximal minors of d - 1
+    generators stacked with E, d = dim - len(E) the dimension of the span;
+    orthogonal to E, it lies in the span.  Subsets whose minors all vanish
+    span no hyperplane and are skipped.  A normal is kept, inward, unless
+    generators lie on both sides.
     """
     gens = tuple(g for g in gens if not is_zero(g))
     eqs = span_equations(gens, dim)
@@ -82,10 +94,9 @@ def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, .
         return eqs, ()
     out = set()
     for subset in combinations(gens, dim - len(eqs) - 1):
-        ker = _kernel(subset + eqs, dim)
-        if len(ker) != 1:
+        m = minor_normal(subset + eqs, dim)
+        if is_zero(m):
             continue
-        m = ker[0]
         pos = any(dot(m, g) > 0 for g in gens)
         neg = any(dot(m, g) < 0 for g in gens)
         if pos and neg:

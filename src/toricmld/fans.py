@@ -98,36 +98,42 @@ def validate_fan(f: Fan) -> tuple[tuple[str, str], ...]:
         return tuple(out)
 
     pointed = {}
+    extreme = {}
     for cone in f.max_cones:
         gens = f.cone_gens(cone)
         pointed[cone] = not gens or cones.is_pointed(gens, f.rank)
         if not pointed[cone]:
             out.append(("NotPointed", f"cone {cone} contains a line"))
             continue
-        for k, i in enumerate(cone):
+        extreme[cone] = []
+        for i in cone:
             others = tuple(f.rays[j] for j in cone if j != i)
             if others and cones.contains(others, f.rank, f.rays[i]):
                 out.append(("RedundantGenerator", f"ray {i} is not extreme in cone {cone}"))
+            else:
+                extreme[cone].append(i)
     ok_cones = [c for c in f.max_cones if pointed[c] and c]
     for a in range(len(ok_cones)):
         for b in range(a + 1, len(ok_cones)):
-            if not _meet_in_common_face(f, ok_cones[a], ok_cones[b]):
+            if not _meet_in_common_face(f, ok_cones[a], ok_cones[b], extreme):
                 out.append(("BadIntersection", f"cones {ok_cones[a]} and {ok_cones[b]}"))
     return tuple(out)
 
 
-def _meet_in_common_face(f: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
+def _meet_in_common_face(f: Fan, ca: tuple[int, ...], cb: tuple[int, ...], extreme) -> bool:
     """σ_a ∩ σ_b is a common face iff both cones touch the lineality space of
     cone(σ_a ∪ -σ_b) in the same face; tested via a relative-interior dual
-    functional of that cone."""
+    functional of that cone.  The extreme rays of a face are the extreme rays
+    of its cone (extreme, by ray index) that lie in it, and the rays are
+    distinct, so the faces are compared by index."""
     ga = f.cone_gens(ca)
     gb = f.cone_gens(cb)
     k = ga + tuple(tuple(-x for x in g) for g in gb)
     _, ineqs = cones.hrep(k, f.rank)
     m0 = tuple(sum(col) for col in zip(*ineqs)) if ineqs else (0,) * f.rank
-    fa = tuple(g for g in ga if dot(m0, g) == 0)
-    fb = tuple(g for g in gb if dot(m0, g) == 0)
-    return cones.extreme_rays(fa, f.rank) == cones.extreme_rays(fb, f.rank)
+    fa = {i for i in extreme[ca] if dot(m0, f.rays[i]) == 0}
+    fb = {i for i in extreme[cb] if dot(m0, f.rays[i]) == 0}
+    return fa == fb
 
 
 def support_contains(f: Fan, v) -> bool:
@@ -186,7 +192,7 @@ def is_cone_of(f: Fan, idxs: tuple[int, ...]) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _walls(f: Fan):
     """Map from wall (facet ray-index tuple) to the maximal cones using it."""
     walls: dict[tuple[int, ...], list] = {}

@@ -4,6 +4,11 @@ A lattice map compatible with two fans induces a toric morphism.  The
 relative singularity invariants all reduce to exact linear programs and
 lattice-point enumeration over the source fan, with the base divisor
 geometry read off through the map.
+
+Properness is decided without generators of any preimage: over each maximal
+target cone, the source cones of full dimension in its preimage must glue
+along their walls up to the preimage's boundary hyperplanes, the argument
+``fans.is_complete`` uses for the whole space.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     NotRelTrivial,
     ValidationError,
 )
-from .fans import Fan, fan, is_cone_of, point_fan
+from .fans import Fan, _walls, fan, is_cone_of, point_fan
 from .intlinalg import (
     Mat,
     Vec,
@@ -41,6 +46,7 @@ from .intlinalg import (
     primitive,
     scale_to_integer,
     smith_normal_form,
+    transpose,
     vec_add,
     vec_mat,
 )
@@ -102,26 +108,43 @@ def _pullback(f: ToricMorphism, rows) -> tuple[Vec, ...]:
     return tuple(vec_mat(m, f.matrix) for m in rows)
 
 
-def _preimage_gens(f: ToricMorphism, tgens) -> tuple[Vec, ...]:
-    """V-representation of the full preimage of cone(tgens)."""
-    nx = f.source.rank
-    gens: tuple = tuple(
-        tuple(s if i == j else 0 for j in range(nx)) for i in range(nx) for s in (1, -1)
-    )
-    eqs, ineqs = cones.hrep(tuple(tgens), f.target.rank)
-    return cones.intersect(gens, nx, _pullback(f, eqs), _pullback(f, ineqs))
-
-
 def _is_proper(f: ToricMorphism) -> bool:
-    src = f.source
+    """phi_R^-1(|target|) = |source| (Cox-Little-Schenck, Thm 3.4.11),
+    checked over each maximal target cone tau by gluing walls.
+
+    P = phi_R^-1(tau) has dimension nx - rank phi + dim(tau ∩ im phi_R).
+    The source cones mapping into tau lie in P, and those of dimension dim P
+    cover it iff there is one and each of their facets is either a wall of
+    another of them (the same ray indices) or lies on a boundary hyperplane
+    of P: a pulled-back facet row of tau that is 0 on the facet and positive
+    somewhere on the cone.
+    """
+    src, nz = f.source, f.target.rank
+    # functionals on the target vanishing on im phi_R
+    image_eqs = cones.span_equations(transpose(f.matrix), nz)
+    kernel_dim = src.rank - nz + len(image_eqs)
+    dims = {c: src.rank - len(cones.hrep(src.cone_gens(c), src.rank)[0]) for c in src.max_cones}
+    walls = _walls(src)
     for t in f.target.max_cones:
         tgens = f.target.cone_gens(t)
-        pre = _preimage_gens(f, tgens)
-        cover = [
-            src.cone_gens(c) for c in src.max_cones if _image_in_cone(f, c, tgens)
-        ]
-        if pre and cones.covered_by(pre, src.rank, cover) is not None:
+        meet = cones.intersect(tgens, nz, image_eqs, ())  # tau ∩ im phi_R
+        dim_p = kernel_dim + nz - len(cones.hrep(meet, nz)[0])
+        if dim_p == 0:  # P = {0} lies in every cone
+            continue
+        bounds = _pullback(f, cones.hrep(tgens, nz)[1])
+        cover = {c for c in src.max_cones if dims[c] == dim_p and _image_in_cone(f, c, tgens)}
+        if not cover:
             return False
+        for wall, cs in walls.items():
+            owners = [c for c in cs if c in cover]
+            if len(owners) != 1:
+                continue
+            gens = src.cone_gens(owners[0])
+            if not any(
+                all(dot(m, src.rays[i]) == 0 for i in wall) and any(dot(m, g) > 0 for g in gens)
+                for m in bounds
+            ):
+                return False
     return True
 
 

@@ -6,7 +6,7 @@ matrices are tuples of row tuples acting on column vectors:
 floating point.
 
 Rational elimination is fraction-free: ``gauss_jordan`` (behind
-``solve_exact`` and ``invert_rational``) and the simplex in ``ratlp``, through
+``solve_exact``) and the simplex in ``ratlp``, through
 ``unit_pivot`` and ``eliminate``, keep each row as integer numerators over
 one positive row denominator (``clear_denominators``) and reduce a row by
 its gcd after each row operation; only the values returned are Fractions.
@@ -30,7 +30,6 @@ from .errors import NotPrimitive, ZeroVector
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
 QVec = tuple[Fraction, ...]
-QMat = tuple[tuple[Fraction, ...], ...]
 
 
 def mat(rows) -> Mat:
@@ -182,6 +181,16 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def minor_normal(rows, n: int) -> Vec:
+    """Signed maximal minors of an (n-1) x n integer matrix: entry j is
+    (-1)^j times the determinant with column j deleted.  The vector is
+    orthogonal to every row, and it is zero exactly when the rows have rank
+    below n - 1; otherwise it spans their kernel line."""
+    return tuple(
+        (-1) ** j * det(tuple(row[:j] + row[j + 1 :] for row in rows)) for j in range(n)
+    )
+
+
 def kernel_basis(m: Mat) -> tuple[Vec, ...]:
     """Basis of the saturated lattice {v : m @ v = 0}.
 
@@ -281,17 +290,6 @@ def solve_exact(a, b) -> QVec | None:
     return tuple(x)
 
 
-def invert_rational(m) -> QMat:
-    """Inverse of a square matrix over the rationals."""
-    n = len(m)
-    aug, dens = _rows(m)
-    for i, (row, den) in enumerate(zip(aug, dens)):
-        row.extend(den if i == j else 0 for j in range(n))
-    if len(gauss_jordan(aug, dens, n)) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(Fraction(x, den) for x in row[n:]) for row, den in zip(aug, dens))
-
-
 def _rows(rows) -> tuple[list[list[int]], list[int]]:
     """Rational rows as (numerator rows, row denominators)."""
     pairs = [clear_denominators(row) for row in rows]
@@ -351,17 +349,6 @@ def eliminate(rows: list[list[int]], dens: list[int], r: int, c: int) -> None:
                 new = [x // g for x in new]
                 d //= g
             rows[i], dens[i] = new, d
-
-
-def unimodular_inverse(m: Mat) -> Mat:
-    """Integer inverse of a unimodular integer matrix."""
-    inv = invert_rational(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
 
 
 def quotient_projection(v: Vec) -> Mat:

@@ -56,7 +56,7 @@ def log_discrepancy(f: Fan, b: ToricDivisor, v) -> Fraction:
     return a(v)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _triangulated(f: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per maximal cone, simplices given by fan ray indices."""
     out = []

@@ -9,8 +9,10 @@ from toricmld.cones import (
     _kernel,
     box_points,
     contains,
+    covered_by,
     cut,
     hrep,
+    intersect,
     relint_contains,
     relint_point,
     span_coordinates,
@@ -29,6 +31,7 @@ from toricmld.fibration import (
     ToricMorphism,
     Witness,
     _descend,
+    _image_in_cone,
     _norm_key,
     _pick_witness,
     _pullback,
@@ -36,9 +39,10 @@ from toricmld.fibration import (
     morphism,
 )
 from toricmld.intlinalg import (
+    clear_denominators,
     dot,
+    gauss_jordan,
     identity,
-    invert_rational,
     is_primitive,
     is_zero,
     mat_vec,
@@ -47,7 +51,6 @@ from toricmld.intlinalg import (
     scale_to_integer,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
     vec_add,
     vec_mat,
     vec_scale,
@@ -208,6 +211,50 @@ def twist_divisor(b: ToricDivisor, u) -> ToricDivisor:
     tw = twist_fan(b.fan, u)
     by_ray = {mat_vec(u, r): c for r, c in zip(b.fan.rays, b.coeffs)}
     return divisor(tw, [by_ray[r] for r in tw.rays])
+
+
+def invert_rational(m):
+    """Inverse of a square matrix over the rationals, by the fraction-free
+    intlinalg.gauss_jordan on [m | I]."""
+    n = len(m)
+    pairs = [clear_denominators(row) for row in m]
+    aug = [nums for nums, _ in pairs]
+    dens = [den for _, den in pairs]
+    for i, (row, den) in enumerate(zip(aug, dens)):
+        row.extend(den if i == j else 0 for j in range(n))
+    if len(gauss_jordan(aug, dens, n)) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(Fraction(x, den) for x in row[n:]) for row, den in zip(aug, dens))
+
+
+def unimodular_inverse(m):
+    """Integer inverse of a unimodular integer matrix."""
+    inv = invert_rational(m)
+    out = []
+    for row in inv:
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("matrix is not unimodular")
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
+
+
+def reference_is_proper(f: ToricMorphism) -> bool:
+    """The double-description properness test that fibration._is_proper
+    replaced: generators of each full preimage phi_R^-1(tau), cut out of the
+    cone over ±e_i, must be covered by the source cones mapping into tau
+    (cones.covered_by splits the preimage by every facet hyperplane)."""
+    src, nx = f.source, f.source.rank
+    start = tuple(
+        tuple(s if i == j else 0 for j in range(nx)) for i in range(nx) for s in (1, -1)
+    )
+    for t in f.target.max_cones:
+        tgens = f.target.cone_gens(t)
+        eqs, ineqs = hrep(tgens, f.target.rank)
+        pre = intersect(start, nx, _pullback(f, eqs), _pullback(f, ineqs))
+        cover = [src.cone_gens(c) for c in src.max_cones if _image_in_cone(f, c, tgens)]
+        if pre and covered_by(pre, nx, cover) is not None:
+            return False
+    return True
 
 
 def _reference_full_dim_facets(gens_d, d: int):
@@ -594,9 +641,9 @@ def random_half_plane_fibration(rng: random.Random, extra_rank: int = 0) -> Tori
 
 
 # The all-Fraction simplex and Gauss-Jordan eliminations that the
-# fraction-free ratlp.simplex_min/solve_min and intlinalg.solve_exact and
-# invert_rational replaced, kept as differential references: same pivots,
-# so the same results to the repr.
+# fraction-free ratlp.simplex_min/solve_min, intlinalg.solve_exact and
+# invert_rational (above) replaced, kept as differential references: same
+# pivots, so the same results to the repr.
 
 
 def reference_simplex_min(c, a, b):

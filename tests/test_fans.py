@@ -61,6 +61,19 @@ def test_redundant_generator():
     assert "RedundantGenerator" in codes(validate_fan(f))
 
 
+def test_redundant_generator_in_shared_face():
+    """(1, 1, 0) is redundant in one cone and lies in the face it shares
+    with the other; the faces are compared by their extreme rays, so the
+    cones still meet in a common face."""
+    rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
+    for cones in ([(0, 1, 2, 3), (0, 1, 4)], [(0, 1, 3), (0, 1, 2, 4)]):
+        f = fan(3, rays, cones, check=False)
+        redundant = next(c for c in f.max_cones if len(c) == 4)
+        assert validate_fan(f) == (
+            ("RedundantGenerator", f"ray 4 is not extreme in cone {redundant}"),
+        )
+
+
 def test_unused_ray():
     f = fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1)], check=False)
     assert "UnusedRay" in codes(validate_fan(f))

@@ -20,6 +20,7 @@ from helpers import (
     product_fan,
     twist_divisor,
     twist_fan,
+    unimodular_inverse,
 )
 from toricmld.bounds import example_family
 from toricmld.cones import hrep
@@ -49,7 +50,7 @@ from toricmld.fibration import (
     relative_mld,
     validate_morphism,
 )
-from toricmld.intlinalg import dot, mat_mul, mat_vec, unimodular_inverse
+from toricmld.intlinalg import dot, mat_mul, mat_vec
 from toricmld.singularities import MINUS_INFINITY, global_mld
 
 

@@ -1,10 +1,11 @@
 """Differential properties of the fraction-free exact elimination.
 
-ratlp.simplex_min/solve_min and intlinalg.solve_exact/invert_rational keep
-each row as integer numerators over one positive row denominator and make
-the pivots of the all-Fraction versions they replaced (tests/helpers.py
-keeps those as reference_simplex_min, reference_solve_min,
-reference_solve_exact and reference_invert_rational).
+ratlp.simplex_min/solve_min, intlinalg.solve_exact and the test helper
+invert_rational (intlinalg.gauss_jordan on [m | I]) keep each row as
+integer numerators over one positive row denominator and make the pivots
+of the all-Fraction versions they replaced (tests/helpers.py keeps those
+as reference_simplex_min, reference_solve_min, reference_solve_exact and
+reference_invert_rational).
 Every result must equal the reference's to the repr: the outcome, every
 Fraction of the certificate, and the types.
 """
@@ -13,16 +14,19 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    invert_rational,
     reference_invert_rational,
     reference_simplex_min,
     reference_solve_exact,
     reference_solve_min,
+    unimodular_inverse,
 )
-from toricmld.intlinalg import invert_rational, solve_exact
+from toricmld.intlinalg import identity, mat_mul, solve_exact
 from toricmld.ratlp import Infeasible, Optimal, Unbounded, cone_lp, simplex_min, solve_min
 
 small = st.integers(min_value=-3, max_value=3)
@@ -126,6 +130,20 @@ def test_invert_rational_matches_fraction_elimination(system):
     """Square matrices, singular ones (zero or repeated rows) included."""
     m, _ = system
     assert outcome(invert_rational, m) == outcome(reference_invert_rational, m)
+
+
+def test_unimodular_inverse():
+    m = ((2, 3), (1, 2))
+    inv = unimodular_inverse(m)
+    assert mat_mul(m, inv) == identity(2)
+    with pytest.raises(ValueError):
+        unimodular_inverse(((2, 0), (0, 1)))
+
+
+def test_invert_rational():
+    m = ((2, 0), (0, 4))
+    inv = invert_rational(m)
+    assert inv == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
 
 
 def _random_program(rng):

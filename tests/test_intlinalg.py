@@ -9,18 +9,17 @@ from toricmld.intlinalg import (
     det,
     hermite_normal_form,
     identity,
-    invert_rational,
     is_primitive,
     kernel_basis,
     mat_mul,
     mat_vec,
+    minor_normal,
     primitive,
     quotient_projection,
     rank,
     smith_normal_form,
     solve_exact,
     transpose,
-    unimodular_inverse,
 )
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -187,15 +186,30 @@ def test_quotient_projection_rejects():
         quotient_projection((0, 0))
 
 
-def test_unimodular_inverse():
-    m = ((2, 3), (1, 2))
-    inv = unimodular_inverse(m)
-    assert mat_mul(m, inv) == identity(2)
-    with pytest.raises(ValueError):
-        unimodular_inverse(((2, 0), (0, 1)))
+small = st.integers(min_value=-2, max_value=2)
 
 
-def test_invert_rational():
-    m = ((2, 0), (0, 4))
-    inv = invert_rational(m)
-    assert inv == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(small, min_size=n, max_size=n).map(tuple), min_size=n - 1, max_size=n - 1),
+        )
+    )
+)
+def test_minor_normal_is_orthogonal_and_zero_iff_rank_drops(case):
+    n, rows = case
+    normal = minor_normal(tuple(rows), n)
+    assert len(normal) == n
+    assert all(sum(a * b for a, b in zip(row, normal)) == 0 for row in rows)
+    assert (normal == (0,) * n) == (rank(tuple(rows)) < n - 1)
+    if n > 1 and any(normal):
+        assert kernel_basis(tuple(rows)) in ((primitive(normal),), (primitive(tuple(-x for x in normal)),))
+
+
+def test_minor_normal_examples():
+    assert minor_normal((), 1) == (1,)
+    assert minor_normal(((1, 0, 0), (0, 1, 0)), 3) == (0, 0, 1)
+    assert minor_normal(((1, 2),), 2) == (2, -1)
+    assert minor_normal(((1, 2, 3), (2, 4, 6)), 3) == (0, 0, 0)
