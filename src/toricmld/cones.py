@@ -11,9 +11,10 @@ signed maximal minors of generators stacked with E.  They are cached on the
 ``cut`` and ``intersect`` are the double-description step, for callers that
 need generators of a cut cone (the preimages in ``fibration.relative_mld``).
 ``covered_by`` decides whether a union of cones covers a cone by splitting it
-along every facet hyperplane.  The library does not call it (``fibration``
-decides properness by wall gluing); the tests keep it as the reference for
-that check.
+along every facet hyperplane, dropping the redundant generators of each
+piece so that repeated cuts do not compound.  The library does not call it
+(``fibration`` decides properness by wall gluing); the tests keep it as the
+reference for that check.
 
 Box points (the lattice points of a half-open parallelepiped spanned by
 independent generators) are enumerated with integer residues over the Smith
@@ -172,12 +173,27 @@ def _canonical_sign(m: Vec) -> Vec:
     return m if lead > 0 else tuple(-x for x in m)
 
 
+def _irredundant(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
+    """The generators left after dropping, in order, each one that lies in
+    the cone of the others still kept; the cone is unchanged, lines
+    included."""
+    out = list(gens)
+    for g in gens:
+        others = tuple(h for h in out if h != g)
+        if others and contains(others, dim, g):
+            out.remove(g)
+    return tuple(out)
+
+
 def covered_by(target: tuple[Vec, ...], dim: int, cover) -> Vec | None:
     """None if cone(target) ⊆ ∪ cone(c) for c in cover, else an uncovered point.
 
     The target is split by every defining hyperplane of the covering cones;
     each resulting piece lies in a member of the cover iff its relative
-    interior point does, so testing that point per piece is exact.
+    interior point does, so testing that point per piece is exact.  A piece
+    made by a cut keeps only generators outside the cone of the others
+    (``cut`` keeps every pairwise combination, and the next cut would
+    square them).
     """
     normals = set()
     for c in cover:
@@ -195,7 +211,7 @@ def covered_by(target: tuple[Vec, ...], dim: int, cover) -> Vec | None:
                 for sense in (1, -1):
                     half = cut(piece, dim, m, sense)
                     if half:
-                        nxt.append(half)
+                        nxt.append(_irredundant(half, dim))
         pieces = nxt
     for piece in pieces:
         if not piece:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import gens_with_invariant_factors, reference_box_points, reference_hrep
 from toricmld.cones import (
+    _irredundant,
     barycentric,
     box_points,
     capped_points,
@@ -124,6 +125,24 @@ def test_pointedness():
 def test_extreme_rays_drop_redundant():
     gens = ((1, 0), (1, 1), (0, 1), (2, 2))
     assert extreme_rays(gens, 2) == ((0, 1), (1, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen_sets(n_max=6))
+def test_irredundant_spans_the_same_cone(gens):
+    dim = len(gens[0])
+    kept = _irredundant(gens, dim)
+    assert set(kept) <= set(gens)
+    assert all(contains(kept, dim, g) for g in gens)
+    for g in kept:
+        others = tuple(h for h in kept if h != g)
+        assert not others or not contains(others, dim, g)
+
+
+def test_irredundant_keeps_a_line():
+    # the upper half-plane: (-1, 0) and (0, 1) lie in the cone of the rest
+    gens = ((1, 0), (-1, 0), (0, 1), (1, 1), (-2, 0))
+    assert _irredundant(gens, 2) == ((1, 0), (1, 1), (-2, 0))
 
 
 def test_covered_by_complete_fan():

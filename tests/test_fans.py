@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -210,6 +210,10 @@ def support_equal(a: Fan, b: Fan) -> bool:
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+# rank-3 fans on which covered_by took 35 s and over 200 s while it kept
+# every generator its cuts made
+@example(seed=887)
+@example(seed=1423)
 def test_star_subdivision_properties(seed):
     rng = random.Random(seed)
     f = helpers.random_fan(rng)
