@@ -5,12 +5,23 @@ A Fan stores the lattice rank, the primitive ray generators (sorted, so a
 fan has one canonical presentation) and the maximal cones as ray-index
 tuples.  Faces are never stored; they are recovered through the cone
 toolkit on demand.
+
+``validate_fan`` works from each maximal cone's own cached H-representation.
+A cone with independent generators is pointed with every ray extreme and
+needs no further test; other cones are tested for a line and for generators
+lying in the cone of the others.  Two cones meet in a common face iff some
+functional that is >= 0 on one and <= 0 on the other cuts both in the same
+face (the separation lemma); facet normals of the two cones and their
+differences are tried as that functional, and only a pair none of them
+certifies takes the H-representation of cone(σ_a ∪ -σ_b), which decides it
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 
 from . import cones
 from .errors import (
@@ -101,7 +112,12 @@ def validate_fan(f: Fan) -> tuple[tuple[str, str], ...]:
     extreme = {}
     for cone in f.max_cones:
         gens = f.cone_gens(cone)
-        pointed[cone] = not gens or cones.is_pointed(gens, f.rank)
+        if rank(gens) == len(gens):
+            # independent generators: the cone is pointed, every ray extreme
+            pointed[cone] = True
+            extreme[cone] = list(cone)
+            continue
+        pointed[cone] = cones.is_pointed(gens, f.rank)
         if not pointed[cone]:
             out.append(("NotPointed", f"cone {cone} contains a line"))
             continue
@@ -121,18 +137,58 @@ def validate_fan(f: Fan) -> tuple[tuple[str, str], ...]:
 
 
 def _meet_in_common_face(f: Fan, ca: tuple[int, ...], cb: tuple[int, ...], extreme) -> bool:
-    """σ_a ∩ σ_b is a common face iff both cones touch the lineality space of
-    cone(σ_a ∪ -σ_b) in the same face; tested via a relative-interior dual
-    functional of that cone.  The extreme rays of a face are the extreme rays
-    of its cone (extreme, by ray index) that lie in it, and the rays are
-    distinct, so the faces are compared by index."""
-    ga = f.cone_gens(ca)
-    gb = f.cone_gens(cb)
-    k = ga + tuple(tuple(-x for x in g) for g in gb)
+    """Whether σ_a ∩ σ_b is a face of each, by the separation lemma
+    (Cox–Little–Schenck, Lemma 1.2.13): it is iff some functional m with
+    m >= 0 on σ_a and m <= 0 on σ_b cuts both in the same face.
+
+    Certificates are tried first, read off the cones' own cached
+    H-representations: the facet normals m_a of σ_a, the negated facet
+    normals -m_b of σ_b and the differences m_a - m_b.  One that passes
+    ``_separates_in_common_face`` proves the pair valid.  A pair that none
+    of them certifies (every invalid pair, and a valid pair whose
+    separating functionals are none of these) goes to the exact test: m0,
+    the sum of the facet normals of cone(σ_a ∪ -σ_b), lies in the relative
+    interior of the functionals >= 0 on σ_a and <= 0 on σ_b, so its
+    hyperplane cuts each cone in the smallest face any such functional
+    cuts, and the faces agree iff the cones meet in a common face.
+    """
+    _, ineqs_a = cones.hrep(f.cone_gens(ca), f.rank)
+    _, ineqs_b = cones.hrep(f.cone_gens(cb), f.rank)
+    candidates = chain(
+        ineqs_a,
+        (tuple(-x for x in mb) for mb in ineqs_b),
+        (tuple(x - y for x, y in zip(ma, mb)) for ma, mb in product(ineqs_a, ineqs_b)),
+    )
+    if any(_separates_in_common_face(f, m, ca, cb, extreme) for m in candidates):
+        return True
+    k = f.cone_gens(ca) + tuple(tuple(-x for x in g) for g in f.cone_gens(cb))
     _, ineqs = cones.hrep(k, f.rank)
     m0 = tuple(sum(col) for col in zip(*ineqs)) if ineqs else (0,) * f.rank
-    fa = {i for i in extreme[ca] if dot(m0, f.rays[i]) == 0}
-    fb = {i for i in extreme[cb] if dot(m0, f.rays[i]) == 0}
+    return _separates_in_common_face(f, m0, ca, cb, extreme)
+
+
+def _separates_in_common_face(f: Fan, m, ca, cb, extreme) -> bool:
+    """m >= 0 on σ_a, m <= 0 on σ_b and σ_a ∩ m⊥ = σ_b ∩ m⊥; then
+    σ_a ∩ σ_b is that face, since m vanishes on every common point.
+
+    A pointed cone is spanned by its extreme rays (extreme, by ray index)
+    and a face by the extreme rays lying in it; the rays are distinct, so
+    the two faces are compared by index.
+    """
+    fa = set()
+    for i in extreme[ca]:
+        v = dot(m, f.rays[i])
+        if v < 0:
+            return False
+        if v == 0:
+            fa.add(i)
+    fb = set()
+    for i in extreme[cb]:
+        v = dot(m, f.rays[i])
+        if v > 0:
+            return False
+        if v == 0:
+            fb.add(i)
     return fa == fb
 
 

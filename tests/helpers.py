@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from toricmld import cones
 from toricmld.cones import (
     _kernel,
     box_points,
@@ -40,6 +41,7 @@ from toricmld.fibration import (
 )
 from toricmld.intlinalg import (
     clear_denominators,
+    content,
     dot,
     gauss_jordan,
     identity,
@@ -255,6 +257,141 @@ def reference_is_proper(f: ToricMorphism) -> bool:
         if pre and covered_by(pre, nx, cover) is not None:
             return False
     return True
+
+
+def reference_validate_fan(f: Fan) -> tuple[tuple[str, str], ...]:
+    """The fan check that fans.validate_fan replaced: one hrep of
+    cone(σ_a ∪ -σ_b) per pair of maximal cones, and is_pointed plus an hrep
+    per generator for every cone, simplicial or not."""
+    out = []
+    if f.rank < 0:
+        return (("BadRank", f"rank {f.rank}"),)
+    if f.rank == 0:
+        if f.rays or any(c != () for c in f.max_cones):
+            out.append(("BadRank", "a rank-0 fan has no rays"))
+        return tuple(out)
+    for i, r in enumerate(f.rays):
+        if len(r) != f.rank:
+            out.append(("BadDimension", f"ray {i} has length {len(r)}"))
+            return tuple(out)
+        if is_zero(r):
+            out.append(("ZeroRay", f"ray {i}"))
+        elif content(r) != 1:
+            out.append(("NonPrimitiveRay", f"ray {i} = {r}"))
+    seen = {}
+    for i, r in enumerate(f.rays):
+        if r in seen:
+            out.append(("DuplicateRay", f"rays {seen[r]} and {i}"))
+        seen[r] = i
+    used = set()
+    for cone in f.max_cones:
+        for i in cone:
+            if not 0 <= i < len(f.rays):
+                out.append(("BadIndex", f"cone {cone} references ray {i}"))
+                return tuple(out)
+            used.add(i)
+    if used != set(range(len(f.rays))):
+        missing = sorted(set(range(len(f.rays))) - used)
+        out.append(("UnusedRay", f"rays {missing} belong to no cone"))
+    if out:
+        return tuple(out)
+
+    pointed = {}
+    extreme = {}
+    for cone in f.max_cones:
+        gens = f.cone_gens(cone)
+        pointed[cone] = not gens or cones.is_pointed(gens, f.rank)
+        if not pointed[cone]:
+            out.append(("NotPointed", f"cone {cone} contains a line"))
+            continue
+        extreme[cone] = []
+        for i in cone:
+            others = tuple(f.rays[j] for j in cone if j != i)
+            if others and cones.contains(others, f.rank, f.rays[i]):
+                out.append(("RedundantGenerator", f"ray {i} is not extreme in cone {cone}"))
+            else:
+                extreme[cone].append(i)
+    ok_cones = [c for c in f.max_cones if pointed[c] and c]
+    for a in range(len(ok_cones)):
+        for b in range(a + 1, len(ok_cones)):
+            if not _reference_meet_in_common_face(f, ok_cones[a], ok_cones[b], extreme):
+                out.append(("BadIntersection", f"cones {ok_cones[a]} and {ok_cones[b]}"))
+    return tuple(out)
+
+
+def _reference_meet_in_common_face(f: Fan, ca: tuple[int, ...], cb: tuple[int, ...], extreme) -> bool:
+    """σ_a ∩ σ_b is a common face iff both cones touch the lineality space of
+    cone(σ_a ∪ -σ_b) in the same face; tested via a relative-interior dual
+    functional of that cone.  The extreme rays of a face are the extreme rays
+    of its cone (extreme, by ray index) that lie in it, and the rays are
+    distinct, so the faces are compared by index."""
+    ga = f.cone_gens(ca)
+    gb = f.cone_gens(cb)
+    k = ga + tuple(tuple(-x for x in g) for g in gb)
+    _, ineqs = cones.hrep(k, f.rank)
+    m0 = tuple(sum(col) for col in zip(*ineqs)) if ineqs else (0,) * f.rank
+    fa = {i for i in extreme[ca] if dot(m0, f.rays[i]) == 0}
+    fb = {i for i in extreme[cb] if dot(m0, f.rays[i]) == 0}
+    return fa == fb
+
+
+def random_fan_input(rng: random.Random) -> Fan:
+    """A fan document of rank 1-4 that passes the per-ray checks of
+    validate_fan (distinct primitive rays, each used), for comparing fan
+    checks.  Maximal cones are picked, often as proper faces, from a valid
+    fan (random_fan, products up to rank 4, and the non-simplicial cone
+    over a square); then, each with some probability, a generator inside a
+    cone is added to it, the negative of a generator is added to its cone,
+    a random small ray is added to a cone, or a random cone is added."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        base = random_fan(rng, subdivisions=2)
+    elif kind == 1:
+        base = product_fan(random_fan(rng, 2, 1), random_fan(rng, 2, 1))
+    elif kind == 2:
+        base = cone_over_square()
+        if rng.random() < 0.5:
+            base = product_fan(base, a1())
+        base = twist_fan(base, random_unimodular(rng, base.rank))
+    else:
+        base = random_fan(rng, subdivisions=1)
+    rays = list(base.rays)
+    picked = []
+    for c in base.max_cones:
+        if rng.random() < 0.5:
+            continue
+        if len(c) == base.rank and rng.random() < 0.4:
+            c = tuple(rng.sample(c, rng.randrange(1, len(c) + 1)))
+        picked.append(list(c))
+    if not picked:
+        picked.append(list(rng.choice(base.max_cones)))
+
+    def index(v):
+        v = primitive(v)
+        if v not in rays:
+            rays.append(v)
+        return rays.index(v)
+
+    for c in picked:
+        if len(c) >= 2 and rng.random() < 0.15:
+            a, b = rng.sample(c, 2)
+            c.append(index(vec_add(rays[a], rays[b])))
+        if rng.random() < 0.08:
+            c.append(index(vec_scale(-1, rays[rng.choice(c)])))
+    if rng.random() < 0.15:
+        v = tuple(rng.randint(-2, 2) for _ in range(base.rank))
+        if any(v):
+            rng.choice(picked).append(index(v))
+    if rng.random() < 0.4:
+        picked.append(rng.sample(range(len(rays)), rng.randint(1, min(len(rays), base.rank))))
+    used = sorted({i for c in picked for i in c})
+    new = {old: k for k, old in enumerate(used)}
+    return fan(
+        base.rank,
+        [rays[i] for i in used],
+        [tuple(new[i] for i in c) for c in picked],
+        check=False,
+    )
 
 
 def _reference_full_dim_facets(gens_d, d: int):

@@ -7,6 +7,7 @@ from helpers import a1, a2, ex13_r1_q2, identity_morphism, p1, p2, product_fan, 
 from toricmld import fibration
 from toricmld.cli import main
 from toricmld.divisors import divisor
+from toricmld.fans import fan
 from toricmld.fibration import morphism
 from toricmld.serialize import divisor_doc, fan_doc, morphism_doc
 
@@ -100,6 +101,19 @@ class TestValidate:
         assert code == 1
         assert rep["status"] == "invalid"
         assert any(v[0] == "NonPrimitiveRay" for v in rep["payload"]["violations"])
+
+    def test_cones_crossing_in_a_ray_of_neither(self, cli):
+        rays = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]
+        doc = {"rank": 3, "rays": rays, "max_cones": [[0, 1], [2, 3]]}
+        ca, cb = fan(3, rays, [(0, 1), (2, 3)], check=False).max_cones
+        code, out = cli(["validate"], stdin=json.dumps(doc))
+        rep = json.loads(out)
+        assert code == 1
+        assert rep["status"] == "invalid"
+        assert rep["payload"] == {
+            "valid": False,
+            "violations": [["BadIntersection", f"cones {ca} and {cb}"]],
+        }
 
     def test_malformed_json(self, cli):
         code, out = cli(["validate"], stdin="{")

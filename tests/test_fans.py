@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from toricmld.cones import covered_by
+from toricmld.cones import contains, covered_by, hrep
 from toricmld.errors import (
     NonSimplicialCone,
     NotARay,
@@ -25,7 +25,7 @@ from toricmld.fans import (
     support_contains,
     validate_fan,
 )
-from toricmld.intlinalg import mat_vec
+from toricmld.intlinalg import dot, mat_vec
 
 
 def codes(violations):
@@ -72,6 +72,68 @@ def test_redundant_generator_in_shared_face():
         assert validate_fan(f) == (
             ("RedundantGenerator", f"ray 4 is not extreme in cone {redundant}"),
         )
+
+
+def test_cones_crossing_in_a_ray_of_neither():
+    """The two 2-cones cross along the ray through (0, 0, 1), which is a
+    generator of neither: they share no ray, as two cones meeting in the
+    zero face would, yet σ_a ∩ σ_b is not a face of either."""
+    rays = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    f = fan(3, rays, [(0, 1), (2, 3)], check=False)
+    ca, cb = f.max_cones
+    assert set(ca).isdisjoint(cb)
+    assert validate_fan(f) == (("BadIntersection", f"cones {ca} and {cb}"),)
+
+
+def test_valid_pair_no_facet_normal_certifies():
+    """A narrow cone σ_a inside -σ_b meets σ_b in the zero face.  Each facet
+    line of either cone passes through a ray of that cone and through no ray
+    of the other, so it cuts the two in different faces: only a functional
+    negative on both rays of σ_b, such as a difference of facet normals,
+    certifies the pair."""
+    f = fan(2, [(-1, -3), (-1, -2), (-1, 1), (1, 1)], [(0, 1), (2, 3)], check=False)
+    ca, cb = f.max_cones
+    minus_b = tuple(tuple(-x for x in g) for g in f.cone_gens(cb))
+    assert all(contains(minus_b, 2, g) for g in f.cone_gens(ca))
+    for own, other in ((ca, cb), (cb, ca)):
+        _, normals = hrep(f.cone_gens(own), 2)
+        for m in normals:
+            assert all(dot(m, g) != 0 for g in f.cone_gens(other))
+    assert validate_fan(f) == ()
+
+
+@pytest.mark.parametrize(
+    "rays, nested_first",
+    [([(1, 0), (0, 1), (1, 1)], False), ([(0, 1), (2, -1), (1, 0)], True)],
+)
+def test_nested_cones_sharing_a_ray(rays, nested_first):
+    """cone(rays 0, 2) lies inside cone(rays 0, 1), and they share ray 0: a
+    facet normal of the larger cone cuts both in that ray, but it is
+    positive on ray 2.  The canonical order puts either cone first."""
+    f = fan(2, rays, [(0, 1), (0, 2)], check=False)
+    ca, cb = f.max_cones
+    assert (f.rays.index(rays[2]) in ca) == nested_first
+    assert validate_fan(f) == (("BadIntersection", f"cones {ca} and {cb}"),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_validate_fan_matches_reference(seed):
+    f = helpers.random_fan_input(random.Random(seed))
+    assert validate_fan(f) == helpers.reference_validate_fan(f)
+
+
+def test_validate_fan_matches_reference_sweep():
+    """Seeds 0-199 of random_fan_input give the reference's violation tuples,
+    and every outcome the pair check decides occurs."""
+    seen = {"valid": 0, "BadIntersection": 0, "NotPointed": 0, "RedundantGenerator": 0}
+    for seed in range(200):
+        f = helpers.random_fan_input(random.Random(seed))
+        got = validate_fan(f)
+        assert got == helpers.reference_validate_fan(f), seed
+        for code in codes(got) if got else {"valid"}:
+            seen[code] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_unused_ray():
