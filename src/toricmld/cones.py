@@ -8,8 +8,9 @@ the span): E is an integer kernel, and each facet normal is the vector of
 signed maximal minors of generators stacked with E.  They are cached on the
 (gens, dim) key in a bounded cache.
 
-``cut`` and ``intersect`` are the double-description step, for callers that
-need generators of a cut cone (the preimages in ``fibration.relative_mld``).
+``cut`` and ``intersect`` are the double-description step.  They serve only
+tau ∩ im phi_R in ``fibration._is_proper`` and ``covered_by``; preimages of
+cones under a compatible map are faces, read off the rays (``fibration``).
 ``covered_by`` decides whether a union of cones covers a cone by splitting it
 along every facet hyperplane, dropping the redundant generators of each
 piece so that repeated cuts do not compound.  The library does not call it

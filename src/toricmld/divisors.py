@@ -71,9 +71,6 @@ class PLFunction:
         )
         return den, nums
 
-    def on_cone(self, cone: tuple[int, ...]) -> QVec:
-        return self.functionals[self.fan.max_cones.index(cone)]
-
     def __call__(self, v):
         for c, fn in zip(self.fan.max_cones, self.functionals):
             if cones.contains(self.fan.cone_gens(c), self.fan.rank, v):
@@ -85,15 +82,14 @@ def pl_function(f: Fan, functionals) -> PLFunction:
     functionals = tuple(tuple(Fraction(x) for x in fn) for fn in functionals)
     if len(functionals) != len(f.max_cones):
         raise ValidationError((("LengthMismatch", "one functional per maximal cone"),))
-    for a in range(len(f.max_cones)):
-        for b in range(a + 1, len(f.max_cones)):
-            for i in set(f.max_cones[a]) & set(f.max_cones[b]):
-                va = dot(functionals[a], f.rays[i])
-                vb = dot(functionals[b], f.rays[i])
-                if va != vb:
-                    raise ValidationError(
-                        (("WallMismatch", f"cones disagree at shared ray {i}: {va} vs {vb}"),)
-                    )
+    first = {}  # ray -> its value on the first maximal cone containing it
+    for fn, c in zip(functionals, f.max_cones):
+        for i in c:
+            v = dot(fn, f.rays[i])
+            if first.setdefault(i, v) != v:
+                raise ValidationError(
+                    (("WallMismatch", f"cones disagree at shared ray {i}: {first[i]} vs {v}"),)
+                )
     return PLFunction(fan=f, functionals=functionals)
 
 

@@ -5,6 +5,14 @@ relative singularity invariants all reduce to exact linear programs and
 lattice-point enumeration over the source fan, with the base divisor
 geometry read off through the map.
 
+Preimages of cones are read off the rays.  A compatible map (``morphism``
+checks this by default) sends each maximal source cone sigma into a target
+cone tau'; for a target cone tau, tau ∩ tau' is a face of tau', cut out by
+some m >= 0 on tau'.  So sigma ∩ f^-1(tau) is the face of sigma spanned by
+its rays mapping into tau, and f(sigma) ∩ tau is spanned by their images
+(Cox-Little-Schenck, Lemma 1.2.13).  ``relative_mld`` and
+``generic_fiber_fan`` take their faces this way and assume a compatible f.
+
 Properness is decided without generators of any preimage: over each maximal
 target cone, the source cones of full dimension in its preimage must glue
 along their walls up to the preimage's boundary hyperplanes, the argument
@@ -16,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import cones
 from .divisors import (
@@ -162,37 +169,20 @@ def validate_morphism(f: ToricMorphism) -> MorphismDiagnostics:
     )
 
 
-def _faces_of(gens, dim: int) -> set[tuple[int, ...]]:
-    """Faces of cone(gens) as index subsets (every face is the set of
-    generators tight on a subset of the facet normals)."""
-    _, ineqs = cones.hrep(tuple(gens), dim)
-    out = set()
-    for k in range(len(ineqs) + 1):
-        for sub in combinations(ineqs, k):
-            out.add(
-                tuple(
-                    i for i, g in enumerate(gens) if all(dot(m, g) == 0 for m in sub)
-                )
-            )
-    return out
-
-
 def generic_fiber_fan(f: ToricMorphism) -> tuple[Mat, Fan]:
     """Fiber lattice basis (rows) and the fan of the generic fiber, written
-    in those coordinates."""
+    in those coordinates.
+
+    f must be compatible: its kernel meets each source cone in the face
+    spanned by the cone's rays lying in the kernel.
+    """
     kb = kernel_basis(f.matrix)
     r = len(kb)
     if r == 0:
         return (), point_fan()
     src = f.source
     in_kernel = [is_zero(f.apply(v)) for v in src.rays]
-    kernel_faces: set[tuple[int, ...]] = set()
-    for c in src.max_cones:
-        gens = src.cone_gens(c)
-        for face in _faces_of(gens, src.rank):
-            glob = tuple(c[i] for i in face)
-            if glob and all(in_kernel[i] for i in glob):
-                kernel_faces.add(glob)
+    kernel_faces = {tuple(i for i in c if in_kernel[i]) for c in src.max_cones} - {()}
     maximal = [
         fc
         for fc in kernel_faces
@@ -360,6 +350,9 @@ def relative_mld(
     the answer Exact.  Otherwise a per-cone LP over the closed region either
     certifies the bound, detects -infinity, or hands over to a radius-capped
     enumeration whose outcome is reported honestly.
+
+    f must be compatible: each cone's preimage of tau_z is then the face
+    spanned by its rays mapping into tau_z.
     """
     check_radius(radius)
     eps = Fraction(eps)
@@ -376,13 +369,18 @@ def relative_mld(
     eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
     maps_into_relint = _relint_test(eq_src, ineq_src)
 
-    # cones whose image meets relint(tau_z), with a lifted lattice witness
+    # cones whose image meets relint(tau_z), with a lifted lattice witness;
+    # face spans the cone's part over tau_z, img its image's part in tau_z
     relevant = []
     best = None
     for c, fn, num in zip(src.max_cones, a.functionals, nums):
         gens = src.cone_gens(c)
-        img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
-        img = cones.intersect(img, nz, teq, tineq)
+        face = tuple(
+            g
+            for g in gens
+            if all(dot(m, g) == 0 for m in eq_src) and all(dot(m, g) >= 0 for m in ineq_src)
+        )
+        img = tuple(sorted({u for u in map(f.apply, face) if not is_zero(u)}))
         if not img:
             continue
         pc = cones.relint_point(img)
@@ -400,7 +398,7 @@ def relative_mld(
             return Exact(MINUS_INFINITY, _descend(a, v0, d))
         v0 = primitive(scale_to_integer(res.point))
         val0 = a(v0)
-        relevant.append((fn, num, gens, v0))
+        relevant.append((fn, num, gens, face, v0))
         if best is None or (val0, _norm_key(v0)) < best[:2]:
             best = (val0, _norm_key(v0), v0)
     if not relevant:
@@ -421,9 +419,8 @@ def relative_mld(
     # closed-region lower bound, one LP per relevant cone
     u0_src = tuple(map(sum, zip(*ineq_src)))
     lower = None
-    for fn, _, gens, v0 in relevant:
-        cg = cones.intersect(gens, nx, eq_src, ineq_src)
-        res = solve_min(cone_lp(cg, (u0_src,), (1,), fn))
+    for fn, _, _, face, v0 in relevant:
+        res = solve_min(cone_lp(face, (u0_src,), (1,), fn))
         if isinstance(res, Unbounded):
             d = primitive(scale_to_integer(res.direction))
             return Exact(MINUS_INFINITY, _descend(a, v0, d))
@@ -446,7 +443,7 @@ def relative_mld(
     found = [(capn, (_norm_key(wit0), wit0))]
     walk = (
         point
-        for _, num, gens, _ in relevant
+        for _, num, gens, _, _ in relevant
         for t in cones.triangulate(gens, nx)
         for point in cones.capped_points(
             tuple(gens[i] for i in t), nx, num, capn, zero_cap=radius, cap=radius

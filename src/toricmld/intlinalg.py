@@ -66,10 +66,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, v):
     return tuple(c * x for x in v)
 

@@ -40,6 +40,10 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 
+# multiples of each zero-level generator mld_at_cone probes for attainment
+_ZERO_CAP = 3
+
+
 @dataclass(frozen=True)
 class MldReport:
     value: object
@@ -121,7 +125,7 @@ def _cone_numerators(f: Fan, nums, tau: tuple[int, ...]):
     raise NotACone(f"{tau} is not contained in a maximal cone")
 
 
-def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...], zero_cap: int = 3) -> MldReport:
+def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     """Minimum of A over nonzero lattice points of relint(tau).
 
     With A positive on the generators the sublevel region is bounded and the
@@ -172,7 +176,7 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...], zero_cap: int = 3
     closed = Fraction(0)
     found = None
     for sgens in simplices:
-        for n, x in cones.capped_points(sgens, f.rank, m, capn, zero_cap):
+        for n, x in cones.capped_points(sgens, f.rank, m, capn, _ZERO_CAP):
             if x is not None and is_zero(x):
                 continue
             count += 1

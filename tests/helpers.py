@@ -23,7 +23,7 @@ from toricmld.cones import (
 )
 from toricmld.divisors import ToricDivisor, divisor, log_discrepancy_function
 from toricmld.errors import DomainError, NoCone, NotACone
-from toricmld.fans import Fan, fan, is_cone_of, star_subdivision
+from toricmld.fans import Fan, fan, is_cone_of, point_fan, star_subdivision
 from toricmld.fibration import (
     BudgetExhausted,
     CertifiedAtLeast,
@@ -47,6 +47,7 @@ from toricmld.intlinalg import (
     identity,
     is_primitive,
     is_zero,
+    kernel_basis,
     mat_vec,
     primitive,
     rank,
@@ -56,7 +57,6 @@ from toricmld.intlinalg import (
     vec_add,
     vec_mat,
     vec_scale,
-    vec_sub,
 )
 from toricmld.ratlp import (
     ConeLP,
@@ -201,6 +201,77 @@ def random_fan(rng: random.Random, max_rank: int = 3, subdivisions: int = 3) -> 
     for _ in range(rng.randrange(subdivisions + 1)):
         f = star_subdivision(f, random_support_point(rng, f))
     return twist_fan(f, random_unimodular(rng, f.rank))
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def faces_of(gens, dim: int) -> set[tuple[int, ...]]:
+    """Faces of cone(gens) as index subsets (every face is the set of
+    generators tight on a subset of the facet normals)."""
+    _, ineqs = cones.hrep(tuple(gens), dim)
+    out = set()
+    for k in range(len(ineqs) + 1):
+        for sub in combinations(ineqs, k):
+            out.add(
+                tuple(
+                    i for i, g in enumerate(gens) if all(dot(m, g) == 0 for m in sub)
+                )
+            )
+    return out
+
+
+def cones_of(f: Fan) -> list[tuple[int, ...]]:
+    """Every nonzero cone of the fan as sorted ray indices, sorted."""
+    return sorted(
+        {
+            tuple(c[i] for i in face)
+            for c in f.max_cones
+            for face in faces_of(f.cone_gens(c), f.rank)
+            if face
+        }
+    )
+
+
+def reference_generic_fiber_fan(f: ToricMorphism):
+    """The face enumeration that fibration.generic_fiber_fan replaced: every
+    face of every maximal source cone (faces_of) whose rays all lie in the
+    kernel, keeping the maximal ones."""
+    kb = kernel_basis(f.matrix)
+    r = len(kb)
+    if r == 0:
+        return (), point_fan()
+    src = f.source
+    in_kernel = [is_zero(f.apply(v)) for v in src.rays]
+    kernel_faces: set[tuple[int, ...]] = set()
+    for c in src.max_cones:
+        gens = src.cone_gens(c)
+        for face in faces_of(gens, src.rank):
+            glob = tuple(c[i] for i in face)
+            if glob and all(in_kernel[i] for i in glob):
+                kernel_faces.add(glob)
+    maximal = [
+        fc
+        for fc in kernel_faces
+        if not any(fc != other and set(fc) <= set(other) for other in kernel_faces)
+    ]
+    used = sorted({i for fc in maximal for i in fc})
+    coords = {i: span_coordinates(kb, src.rays[i]) for i in used}
+    index = {i: k for k, i in enumerate(used)}
+    fiber = fan(
+        r,
+        [coords[i] for i in used],
+        [tuple(index[i] for i in fc) for fc in maximal],
+    )
+    return kb, fiber
 
 
 def twist_fan(f: Fan, u) -> Fan:

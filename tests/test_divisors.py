@@ -90,6 +90,48 @@ class TestPLFunction:
             pl_function(f, fns)
         assert any(code == "WallMismatch" for code, _ in err.value.violations)
 
+    def test_mismatch_between_second_and_third_cones(self):
+        """On P2 the cones are (0, 1), (0, 2), (1, 2): the first agrees with
+        the others at rays 0 and 1, and only the other two disagree, at ray
+        2, which the first cone does not contain."""
+        f = p2()
+        assert f.max_cones == ((0, 1), (0, 2), (1, 2)) and f.rays[2] == (1, 0)
+        with pytest.raises(ValidationError) as err:
+            pl_function(f, [(0, 0), (1, -1), (2, 0)])
+        assert err.value.violations == (
+            ("WallMismatch", "cones disagree at shared ray 2: 1 vs 2"),
+        )
+        assert pl_function(f, [(0, 0), (1, -1), (1, 0)]).functionals[2] == (1, 0)
+
+    def test_wall_mismatch_verdict_matches_pairwise_check(self):
+        """Checking each ray against the first cone holding it accepts
+        exactly the functionals that agree on every ray shared by a pair of
+        maximal cones."""
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(200):
+            f = random_fan(rng, max_rank=3, subdivisions=2)
+            values = [Fraction(rng.randrange(-2, 3), 2) for _ in f.rays]
+            fns = list(support_function(f, values).functionals)
+            for _ in range(rng.randrange(2)):
+                k = rng.randrange(len(fns))
+                fns[k] = tuple(x + rng.randint(-1, 1) for x in fns[k])
+            pairwise = all(
+                dot(fns[a], f.rays[i]) == dot(fns[b], f.rays[i])
+                for a in range(len(fns))
+                for b in range(a + 1, len(fns))
+                for i in set(f.max_cones[a]) & set(f.max_cones[b])
+            )
+            try:
+                pl_function(f, fns)
+                accepted = True
+            except ValidationError as exc:
+                assert exc.violations[0][0] == "WallMismatch"
+                accepted = False
+            assert accepted == pairwise
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
     def test_support_function_unsolvable(self):
         f = cone_over_square()
         assert support_function(f, [1, 0, 0, 0]) is None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     a1,
     a2,
+    cones_of,
     ex13_r1_q2,
     identity_morphism,
     p1,
@@ -34,7 +35,6 @@ from toricmld.errors import (
 )
 from toricmld.fans import fan, locate, point_fan
 from toricmld.fibration import (
-    _faces_of,
     _pullback,
     _relint_test,
     CertifiedAtLeast,
@@ -304,14 +304,7 @@ def test_relint_test_matches_locate(seed):
     n = tgt.rank
     u = random_gl(rng, n)
     f = morphism(unimodular_inverse(u), twist_fan(tgt, u), tgt)
-    taus = sorted(
-        {
-            tuple(c[i] for i in face)
-            for c in tgt.max_cones
-            for face in _faces_of(tgt.cone_gens(c), n)
-            if face
-        }
-    )
+    taus = cones_of(tgt)
     ys = [(0,) * n] + [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
     for tau in taus:
         gens = tgt.cone_gens(tau)

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cones_of,
     identity_morphism,
+    outcome,
     p2,
     random_fan,
     random_half_plane_fibration,
@@ -31,7 +33,6 @@ from toricmld.divisors import divisor, log_discrepancy_function
 from toricmld.fans import fan
 from toricmld.fibration import (
     BudgetExhausted,
-    _faces_of,
     lc_threshold_over,
     lc_thresholds,
     relative_mld,
@@ -52,13 +53,6 @@ def random_coeffs(rng, n):
     return out
 
 
-def outcome(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except Exception as exc:  # compared by type and message
-        return (type(exc), str(exc))
-
-
 def same(new, ref):
     """Equal results with equal types, field by field."""
     assert new == ref
@@ -66,17 +60,6 @@ def same(new, ref):
     if hasattr(ref, "__dataclass_fields__"):
         for name in ref.__dataclass_fields__:
             assert type(getattr(new, name)) is type(getattr(ref, name)), name
-
-
-def cones_of(f):
-    return sorted(
-        {
-            tuple(c[i] for i in face)
-            for c in f.max_cones
-            for face in _faces_of(f.cone_gens(c), f.rank)
-            if face
-        }
-    )
 
 
 def zero_branch(b, tau):
