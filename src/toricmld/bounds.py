@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .cones import box_points, contains, triangulate
+from .cones import box_points, contains, triangulate, values_at
 from .divisors import (
     PLFunction,
     ToricDivisor,
@@ -47,7 +47,7 @@ from .fibration import (
     relative_mld,
     validate_morphism,
 )
-from .intlinalg import Vec, dot, is_zero
+from .intlinalg import Vec, is_zero
 from .singularities import MINUS_INFINITY, mld_at_cone
 
 Rat = Fraction | int
@@ -370,12 +370,12 @@ def _fiber_cones_minimum(f: ToricMorphism, a: PLFunction, w: Vec):
             continue
         points = list(gens)
         for simplex in triangulate(gens, src.rank):
-            sgens = tuple(gens[i] for i in simplex)
-            points.extend(p for p in box_points(sgens, src.rank) if not is_zero(p))
-        for p in points:
-            n = dot(m, p)
-            if worst is None or n < worst:
-                worst, worst_at = n, p
+            # the first box point is the only zero one
+            points.extend(box_points(tuple(gens[i] for i in simplex), src.rank)[1:])
+        vals = values_at(m, points)
+        least = min(vals, default=None)
+        if least is not None and (worst is None or least < worst):
+            worst, worst_at = least, points[vals.index(least)]
     if worst is None:
         return None, None
     return Fraction(worst, den), worst_at

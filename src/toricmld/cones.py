@@ -22,9 +22,14 @@ independent generators) are enumerated with integer residues over the Smith
 form of the generator matrix, as Normaliz does: with U V W = D and N the
 largest invariant factor, each coset of the lattice modulo the generators
 gives one residue vector k = W (s_i N / D_i) mod N, and the point is
-Σ k_i g_i / N.  No rational solve is done per point; every point is still
-checked in integers (exact division by N, 0 <= k_i < N, one distinct point
-per coset).
+Σ k_i g_i / N.  The work is done one column at a time, not one point at a
+time: ``_box_residues`` returns one list per generator (k_r of every
+coset), each coordinate column of the points is Σ_r k_r g_r[j], and the
+points are the quotient columns zipped.  Every point is still checked in
+integers, by whole columns: 0 <= k_r < N by each residue column's min and
+max, exact division by N by each coordinate column's remainders, and one
+distinct point per coset by the size of the point set.  ``values_at``
+evaluates a functional over the points' coordinate columns in the same way.
 
 ``capped_points`` is the one enumerator of the other lattice points of a
 simplicial cone (box points plus multiples of the generators, under a cap on
@@ -34,8 +39,8 @@ a linear functional); every lattice-point scan uses it or ``box_points``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from operator import mul
+from itertools import combinations, product, repeat
+from operator import add, floordiv, mod, mul
 
 from .errors import NotACone
 from .intlinalg import (
@@ -270,35 +275,54 @@ def _box_residues(vmat: Mat):
     V is nonsingular square (columns are the generators).  With U V W = D
     the Smith form and N = D[-1] the exponent of Z^d / V Z^d, the coset of
     U^{-1} s (0 <= s_i < D_i) meets the box at V t with t = k / N, where
-    k = W (s_i N / D_i) mod N.  Returns N and the residue vectors k in the
-    order of itertools.product over s, built one coordinate of s at a time.
+    k = W (s_i N / D_i) mod N.  Returns N and one column per generator:
+    column r lists k_r of every coset, in the order of itertools.product
+    over s.  The columns grow one coordinate of s at a time: each entry a
+    of column r becomes (a + j * step_r) % N for j < D_i.
     """
     d = len(vmat)
     dmat, _, w = smith_normal_form(vmat)
     diag = [dmat[i][i] for i in range(d)]
     n = diag[-1]
-    residues = [(0,) * d]
+    columns = [[0] for _ in range(d)]
     for i, di in enumerate(diag):
         if di == 1:
             continue
-        # column i of W, scaled by N / D_i, is the residue step of s_i
-        step = tuple(w[r][i] * (n // di) for r in range(d))
-        residues = [
-            tuple((a + j * b) % n for a, b in zip(k, step))
-            for k in residues
-            for j in range(di)
-        ]
-    return n, residues
+        for r, col in enumerate(columns):
+            # column i of W, scaled by N / D_i, is the residue step of s_i
+            offsets = [j * w[r][i] * (n // di) for j in range(di)]
+            columns[r] = [(a + o) % n for a in col for o in offsets]
+    return n, columns
+
+
+def _combination(coeffs, columns, size: int) -> list[int]:
+    """Σ_r coeffs[r] * columns[r], entry by entry, for columns of length size."""
+    acc = None
+    for c, col in zip(coeffs, columns, strict=True):
+        if c:
+            term = map(mul, col, repeat(c))
+            acc = term if acc is None else map(add, acc, term)
+    return [0] * size if acc is None else list(acc)
+
+
+def values_at(m, points) -> list[int]:
+    """m·x for each x in points, summed over the coordinate columns."""
+    if not points:
+        return []
+    return _combination(m, tuple(zip(*points)), len(points))
 
 
 def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     """Lattice points of the half-open parallelepiped {Σ t_i g_i : t ∈ [0,1)};
     gens must be linearly independent.
 
-    Each point is Σ k_i g_i / N for the integer residues k of _box_residues.
-    The self-checks stay in integers: the division by N is exact,
-    0 <= k_i < N, and there are |det| pairwise distinct points, one per
-    coset of the lattice modulo the generators.
+    Each point is Σ k_r g_r / N for the integer residues k of _box_residues,
+    built one coordinate column at a time.  The self-checks run on whole
+    columns and stay in integers: 0 <= k_r < N (each residue column's min
+    and max), the division by N is exact (each coordinate column's
+    remainders), and there are |det| pairwise distinct points, one per coset
+    of the lattice modulo the generators.  The first point is 0 (k = 0), and
+    as the points are distinct it is the only zero point.
     """
     d = len(gens)
     if d == 0:
@@ -308,18 +332,19 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     basis = span_lattice_basis(gens, dim)
     vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
     n, residues = _box_residues(vmat)
-    cols = transpose(gens)
-    out = []
-    for k in residues:
-        if not all(0 <= ki < n for ki in k):
-            raise AssertionError("box point fell outside the half-open box")
-        nums = [sum(map(mul, col, k)) for col in cols]
-        if any(v % n for v in nums):
+    if any(min(col) < 0 or max(col) >= n for col in residues):
+        raise AssertionError("box point fell outside the half-open box")
+    size = len(residues[0])
+    coords = []
+    for row in transpose(gens):
+        nums = _combination(row, residues, size)
+        if any(map(mod, nums, repeat(n))):
             raise AssertionError("box point is not a lattice point")
-        out.append(tuple(v // n for v in nums))
-    if len(set(out)) != abs(det(vmat)):
+        coords.append(list(map(floordiv, nums, repeat(n))))
+    points = tuple(zip(*coords))
+    if len(set(points)) != abs(det(vmat)):
         raise AssertionError("parallelepiped enumeration lost coset representatives")
-    return tuple(out)
+    return points
 
 
 def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int = 0, cap=None):
@@ -334,8 +359,8 @@ def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int =
     """
     vals = [dot(m, g) for g in gens]
     cols = [tuple(g[j] for g in gens) for j in range(dim)]
-    for b in box_points(gens, dim):
-        base = dot(m, b)
+    boxes = box_points(gens, dim)
+    for b, base in zip(boxes, values_at(m, boxes)):
         ranges = []
         for v in vals:
             if v > 0:

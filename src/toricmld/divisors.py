@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import cones
 from .errors import NotQCartier, OutsideSupport, ValidationError
 from .fans import Fan, _walls
-from .intlinalg import Vec, dot, mat_vec, solve_exact
+from .intlinalg import Vec, clear_denominators, dot, mat_vec, solve_exact
 
 QVec = tuple[Fraction, ...]
 
@@ -82,14 +82,17 @@ def pl_function(f: Fan, functionals) -> PLFunction:
     functionals = tuple(tuple(Fraction(x) for x in fn) for fn in functionals)
     if len(functionals) != len(f.max_cones):
         raise ValidationError((("LengthMismatch", "one functional per maximal cone"),))
-    first = {}  # ray -> its value on the first maximal cone containing it
+    # ray -> (numerator, denominator) of its value on the first maximal cone
+    # containing it; values are compared cross-multiplied
+    first = {}
     for fn, c in zip(functionals, f.max_cones):
+        nums, den = clear_denominators(fn)
         for i in c:
-            v = dot(fn, f.rays[i])
-            if first.setdefault(i, v) != v:
-                raise ValidationError(
-                    (("WallMismatch", f"cones disagree at shared ray {i}: {first[i]} vs {v}"),)
-                )
+            n = dot(nums, f.rays[i])
+            n0, d0 = first.setdefault(i, (n, den))
+            if n0 * den != n * d0:
+                msg = f"cones disagree at shared ray {i}: {Fraction(n0, d0)} vs {Fraction(n, den)}"
+                raise ValidationError((("WallMismatch", msg),))
     return PLFunction(fan=f, functionals=functionals)
 
 

@@ -46,6 +46,7 @@ from .intlinalg import (
     Mat,
     Vec,
     dot,
+    identity,
     is_primitive,
     is_zero,
     kernel_basis,
@@ -176,7 +177,8 @@ def generic_fiber_fan(f: ToricMorphism) -> tuple[Mat, Fan]:
     f must be compatible: its kernel meets each source cone in the face
     spanned by the cone's rays lying in the kernel.
     """
-    kb = kernel_basis(f.matrix)
+    # the matrix onto a rank-0 target is (), which carries no column count
+    kb = kernel_basis(f.matrix) if f.target.rank else identity(f.source.rank)
     r = len(kb)
     if r == 0:
         return (), point_fan()

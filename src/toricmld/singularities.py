@@ -12,7 +12,9 @@ Every scan walks simplices of the triangulated cones with
 (parallelepiped points alone).  The scans compare integers: A is taken as
 integer numerators over one common denominator (``PLFunction.integral``), a
 cap becomes ``floor(cap * den)``, and a Fraction is built only for the value
-returned.
+returned.  ``global_mld`` evaluates the numerators of a whole box at once,
+over its coordinate columns (``cones.values_at``), and counts every box
+point but the zero one, which each box holds exactly once, first.
 """
 
 from __future__ import annotations
@@ -106,12 +108,10 @@ def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     )
     for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
-            for x in cones.box_points(f.cone_gens(simplex), f.rank):
-                if is_zero(x):
-                    continue
-                count += 1
-                n = dot(m, x)
-                if n <= best[0]:
+            points = cones.box_points(f.cone_gens(simplex), f.rank)
+            count += len(points) - 1  # every point but the zero one
+            for n, x in zip(cones.values_at(m, points), points):
+                if n <= best[0] and not is_zero(x):
                     cand = key(n, x)
                     if cand < best:
                         best = cand

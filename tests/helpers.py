@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from toricmld import cones
 from toricmld.cones import (
@@ -42,6 +43,7 @@ from toricmld.fibration import (
 from toricmld.intlinalg import (
     clear_denominators,
     content,
+    det,
     dot,
     gauss_jordan,
     identity,
@@ -537,6 +539,65 @@ def reference_box_points(gens, dim: int):
     for x_d in _reference_box_points_full(transpose(gens_d)):
         x = tuple(sum(x_d[i] * basis[i][j] for i in range(d)) for j in range(dim))
         out.append(x)
+    return tuple(out)
+
+
+def reference_wall_mismatch(f: Fan, functionals):
+    """The violations pl_function raised when it compared Fraction dots:
+    each ray against the first maximal cone holding it; None if all agree."""
+    functionals = tuple(tuple(Fraction(x) for x in fn) for fn in functionals)
+    first = {}
+    for fn, c in zip(functionals, f.max_cones):
+        for i in c:
+            v = dot(fn, f.rays[i])
+            if first.setdefault(i, v) != v:
+                return (("WallMismatch", f"cones disagree at shared ray {i}: {first[i]} vs {v}"),)
+    return None
+
+
+def reference_box_residues(vmat):
+    """Row-at-a-time reference for cones._box_residues: N and one residue
+    tuple k per coset, in itertools.product order."""
+    d = len(vmat)
+    dmat, _, w = smith_normal_form(vmat)
+    diag = [dmat[i][i] for i in range(d)]
+    n = diag[-1]
+    residues = [(0,) * d]
+    for i, di in enumerate(diag):
+        if di == 1:
+            continue
+        # column i of W, scaled by N / D_i, is the residue step of s_i
+        step = tuple(w[r][i] * (n // di) for r in range(d))
+        residues = [
+            tuple((a + j * b) % n for a, b in zip(k, step))
+            for k in residues
+            for j in range(di)
+        ]
+    return n, residues
+
+
+def reference_box_points_rows(gens, dim: int):
+    """Row-at-a-time reference for cones.box_points: one residue tuple, one
+    set of integer self-checks and one point per coset."""
+    d = len(gens)
+    if d == 0:
+        return ((0,) * dim,)
+    if rank(tuple(gens)) != d:
+        raise NotACone("parallelepiped needs independent generators")
+    basis = span_lattice_basis(gens, dim)
+    vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
+    n, residues = reference_box_residues(vmat)
+    cols = transpose(gens)
+    out = []
+    for k in residues:
+        if not all(0 <= ki < n for ki in k):
+            raise AssertionError("box point fell outside the half-open box")
+        nums = [sum(map(mul, col, k)) for col in cols]
+        if any(v % n for v in nums):
+            raise AssertionError("box point is not a lattice point")
+        out.append(tuple(v // n for v in nums))
+    if len(set(out)) != abs(det(vmat)):
+        raise AssertionError("parallelepiped enumeration lost coset representatives")
     return tuple(out)
 
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gens_with_invariant_factors, reference_box_points, reference_hrep
+from helpers import (
+    gens_with_invariant_factors,
+    reference_box_points,
+    reference_box_points_rows,
+    reference_box_residues,
+    reference_hrep,
+)
+from toricmld import cones
 from toricmld.cones import (
     _irredundant,
     barycentric,
@@ -22,10 +29,12 @@ from toricmld.cones import (
     is_pointed,
     relint_contains,
     relint_point,
+    span_coordinates,
+    span_lattice_basis,
     triangulate,
 )
 from toricmld.errors import NotACone
-from toricmld.intlinalg import dot, rank
+from toricmld.intlinalg import dot, is_zero, rank, transpose
 from toricmld.ratlp import Optimal, cone_lp, solve_min
 
 
@@ -222,9 +231,21 @@ def test_box_count_is_index(gens):
 
 
 def _assert_same_as_reference(gens, dim):
+    """Equal to the Fraction path and to the row-at-a-time residues, point
+    for point and in order; the residue columns are the reference rows
+    transposed, and the first point is the only zero point."""
     new = box_points(gens, dim)
     assert new == reference_box_points(gens, dim)
+    assert new == reference_box_points_rows(gens, dim)
     _assert_in_box(gens, new)
+    basis = span_lattice_basis(gens, dim)
+    vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
+    n, columns = cones._box_residues(vmat)
+    n_ref, rows = reference_box_residues(vmat)
+    assert n == n_ref
+    assert [tuple(col) for col in columns] == list(zip(*rows))
+    assert is_zero(new[0])
+    assert sum(map(is_zero, new)) == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -259,6 +280,59 @@ def test_box_points_repeated_factor_examples():
     assert list(pts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     _assert_same_as_reference(((2, 0), (0, 2)), 2)
     _assert_same_as_reference(((2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)), 4)
+
+
+def test_box_points_of_no_generators_is_the_origin():
+    assert box_points((), 3) == ((0, 0, 0),)
+
+
+def _with_residues(monkeypatch, edit):
+    """Make box_points read the true residue columns after edit(n, columns)."""
+    true_residues = cones._box_residues
+
+    def edited(vmat):
+        n, columns = true_residues(vmat)
+        columns = [list(col) for col in columns]
+        edit(n, columns)
+        return n, columns
+
+    monkeypatch.setattr(cones, "_box_residues", edited)
+
+
+def _k0_is_n(n, cols):
+    cols[0][0] = n  # k = (N, 0): the point g_0, a distinct lattice point
+
+
+def _k0_minus_n(n, cols):
+    cols[0][1] -= n  # k = (1 - N, 1): the point (1, 1) - g_0
+
+
+def _k0_zero(n, cols):
+    cols[0][1] = 0  # k = (0, 1): the point g_1 / 2
+
+
+def _second_is_zero(n, cols):
+    for col in cols:
+        col[1] = 0  # the second point repeats the first
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_k0_is_n, "outside the half-open box"),
+        (_k0_minus_n, "outside the half-open box"),
+        (_k0_zero, "not a lattice point"),
+        (_second_is_zero, "lost coset representatives"),
+    ],
+)
+def test_box_points_column_checks_fire(monkeypatch, edit, message):
+    """Each column check rejects residues that break only its own
+    condition; gens ((1, 0), (1, 2)) have N = 2 and residues (0, 0), (1, 1)."""
+    gens = ((1, 0), (1, 2))
+    assert box_points(gens, 2) == ((0, 0), (1, 1))
+    _with_residues(monkeypatch, edit)
+    with pytest.raises(AssertionError, match=message):
+        box_points(gens, 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,6 +18,7 @@ from helpers import (
     product_fan,
     random_fan,
     random_support_point,
+    reference_wall_mismatch,
     to_a1,
 )
 from toricmld.divisors import (
@@ -103,10 +104,20 @@ class TestPLFunction:
         )
         assert pl_function(f, [(0, 0), (1, -1), (1, 0)]).functionals[2] == (1, 0)
 
+    def test_mismatch_message_prints_fractions(self):
+        """Values compared as integers are printed as the Fractions they are."""
+        f = p2()
+        half = Fraction(1, 2)
+        with pytest.raises(ValidationError) as err:
+            pl_function(f, [(0, 0), (half, -half), (3 * half, 0)])
+        assert err.value.violations == (
+            ("WallMismatch", "cones disagree at shared ray 2: 1/2 vs 3/2"),
+        )
+
     def test_wall_mismatch_verdict_matches_pairwise_check(self):
         """Checking each ray against the first cone holding it accepts
         exactly the functionals that agree on every ray shared by a pair of
-        maximal cones."""
+        maximal cones, and names the mismatch as the Fraction check did."""
         rng = random.Random(11)
         verdicts = set()
         for _ in range(200):
@@ -126,7 +137,7 @@ class TestPLFunction:
                 pl_function(f, fns)
                 accepted = True
             except ValidationError as exc:
-                assert exc.violations[0][0] == "WallMismatch"
+                assert exc.violations == reference_wall_mismatch(f, fns)
                 accepted = False
             assert accepted == pairwise
             verdicts.add(accepted)

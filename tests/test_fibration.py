@@ -50,7 +50,7 @@ from toricmld.fibration import (
     relative_mld,
     validate_morphism,
 )
-from toricmld.intlinalg import dot, mat_mul, mat_vec
+from toricmld.intlinalg import dot, identity, mat_mul, mat_vec
 from toricmld.singularities import MINUS_INFINITY, global_mld
 
 
@@ -115,6 +115,16 @@ class TestGenericFiber:
         basis, fiber = generic_fiber_fan(identity_morphism(p2()))
         assert basis == ()
         assert fiber == point_fan()
+
+    @pytest.mark.parametrize("source", [p1(), p2(), ex13_r1_q2()])
+    def test_fiber_over_a_point_is_the_source(self, source):
+        """Onto the rank-0 fan the matrix is (), which has no columns; the
+        kernel is the whole source lattice, in identity coordinates."""
+        f = morphism((), source, point_fan())
+        basis, fiber = generic_fiber_fan(f)
+        assert basis == identity(source.rank)
+        assert fiber == source
+        assert len(basis) == validate_morphism(f).relative_dimension
 
 
 class TestPullback:

@@ -27,9 +27,9 @@ from helpers import (
     reference_sublevel_points,
 )
 from toricmld import cones, fibration
-from toricmld.bounds import _fiber_cones_minimum
+from toricmld.bounds import _fiber_cones_minimum, example_family
 from toricmld.cli import main
-from toricmld.divisors import divisor, log_discrepancy_function
+from toricmld.divisors import divisor, log_discrepancy_function, zero_divisor
 from toricmld.fans import fan
 from toricmld.fibration import (
     BudgetExhausted,
@@ -120,6 +120,18 @@ def test_sublevel_points_match_fraction_scan(seed):
     for cap in (ray_cap * rng.randint(1, 3), ray_cap + Fraction(1, 3 * den)):
         new = [(x, Fraction(n, den)) for x, n in sublevel_points(f, a, cap)]
         assert new == list(reference_sublevel_points(f, a, cap))
+
+
+@pytest.mark.parametrize("q", [20, 37, 40])
+def test_global_mld_of_example_family(q):
+    """The surface of example_family(1, q) has mld (q + 1) / (q^2 + q - 1)
+    with the zero boundary; its boxes hold thousands of points, each but
+    the zero one counted."""
+    x = example_family(1, q).x
+    b = zero_divisor(x)
+    rep = global_mld(x, b)
+    assert rep.value == Fraction(q + 1, q * q + q - 1)
+    same(rep, reference_global_mld(x, b))
 
 
 def test_neighbouring_cones_with_different_denominators():

@@ -26,8 +26,8 @@ from toricmld.errors import (
     RelativeDimensionTooSmall,
     WrongRayCount,
 )
-from toricmld.fans import fan, star_subdivision
-from toricmld.fibration import generic_fiber_fan, validate_morphism
+from toricmld.fans import fan, point_fan, star_subdivision
+from toricmld.fibration import generic_fiber_fan, morphism, validate_morphism
 from toricmld.intlinalg import mat_mul, primitive, vec_scale
 from toricmld.mfs import extremal_log_discrepancies, factor_mfs, q_vector
 from toricmld.singularities import log_discrepancy
@@ -107,6 +107,13 @@ class TestFactorMfs:
         assert res.a_e == Fraction(4, 7)
         assert res.e_ray == (-1, 2, 0)
         assert fib.rays[res.e] == (-2, 1)
+
+    def test_plane_over_a_point(self):
+        """P^2 over the rank-0 fan: the generic fiber is P^2 itself."""
+        f = morphism((), p2(), point_fan())
+        res = factor_mfs(f)
+        assert res.w.rank == 2 and res.h.target == point_fan()
+        assert mat_mul(res.h.matrix, res.g.matrix) == f.matrix
 
     def test_largest_weight_is_chosen(self):
         f = to_a1(ex13_r2_q2())
