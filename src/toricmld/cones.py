@@ -31,14 +31,19 @@ max, exact division by N by each coordinate column's remainders, and one
 distinct point per coset by the size of the point set.  ``values_at``
 evaluates a functional over the points' coordinate columns in the same way.
 
-``capped_points`` is the one enumerator of the other lattice points of a
+``capped_runs`` is the one enumerator of the other lattice points of a
 simplicial cone (box points plus multiples of the generators, under a cap on
 a linear functional); every lattice-point scan uses it or ``box_points``.
+It walks one run at a time: all coefficients but the last are fixed, so the
+capped functional and each row of an H-representation (E x = 0, F x > 0)
+are arithmetic progressions in the last one, and floor division gives the
+interval of points that pass them all (``progression_interval``).  Callers
+count a run by its size and build a point only when it can be the answer.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product, repeat
 from operator import add, floordiv, mod, mul
 
@@ -347,20 +352,55 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     return points
 
 
-def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int = 0, cap=None):
-    """Lattice points x = b + Σ k_i g_i of the simplicial cone over gens, b a
-    box point, as pairs (m·x, x); gens must be linearly independent.
+def progression_interval(lo: int, hi: int, a: int, step: int, sense: int) -> tuple[int, int]:
+    """The k in [lo, hi] with a + step*k <= 0 (sense < 0), == 0 (sense == 0)
+    or > 0 (sense > 0), an interval in integers; empty when lo > hi."""
+    if sense > 0:  # a + step*k > 0  iff  (1 - a) - step*k <= 0
+        a, step, sense = 1 - a, -step, -1
+    if step == 0:
+        holds = a <= 0 if sense < 0 else a == 0
+        return (lo, hi) if holds else (lo, lo - 1)
+    if sense == 0:
+        if a % step:
+            return lo, lo - 1
+        k = -a // step
+        return max(lo, k), min(hi, k)
+    if step > 0:
+        return lo, min(hi, -a // step)
+    return max(lo, -(-a // -step)), hi
+
+
+def _run_point(b, ks, cols, last, k) -> Vec:
+    return tuple(c + sum(map(mul, ks, col)) + k * g for c, col, g in zip(b, cols, last))
+
+
+def capped_runs(gens: tuple[Vec, ...], dim: int, m, capn: int, rows, zero_cap: int = 0, cap=None):
+    """The lattice points x = b + Σ k_i g_i of the simplicial cone over gens,
+    b a box point, one run at a time; gens must be nonempty and linearly
+    independent.
 
     k_i runs up to (capn - m·b) // m·g_i where m·g_i > 0, and no further
     than cap when cap is given; it runs up to zero_cap where m·g_i <= 0.  The
-    k are walked in itertools.product order.  A pair with m·x > capn is
-    yielded as (m·x, None) without building the point, so that callers can
-    still count it.
+    k are walked in itertools.product order, and a run is every k sharing
+    all coordinates but the last.  Along a run m·x and each row's value are
+    arithmetic progressions in the last coefficient k, so with
+    rows = (E, F) each run is yielded as (size, lo, hi, n0, step, point):
+    size elements, of which those with lo <= k <= hi satisfy m·x <= capn,
+    E x = 0 and F x > 0; m·x = n0 + step*k; point(k) builds x.  Each row's
+    values on the generators and on the box points are taken once.
     """
-    vals = [dot(m, g) for g in gens]
-    cols = [tuple(g[j] for g in gens) for j in range(dim)]
+    eqs, ineqs = rows
+    *pre, last = gens
     boxes = box_points(gens, dim)
-    for b, base in zip(boxes, values_at(m, boxes)):
+    table = [
+        (sense, [dot(r, g) for g in pre], dot(r, last), values_at(r, boxes))
+        for r, sense in [(m, -1), *((e, 0) for e in eqs), *((f, 1) for f in ineqs)]
+    ]
+    vals = [dot(m, g) for g in gens]
+    step = vals[-1]
+    cols = [tuple(g[j] for g in pre) for j in range(dim)]
+    for j, b in enumerate(boxes):
+        base = table[0][3][j]
         ranges = []
         for v in vals:
             if v > 0:
@@ -370,9 +410,16 @@ def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int =
             else:
                 hi = zero_cap
             ranges.append(range(hi + 1))
+        size = len(ranges.pop())
+        if not size:
+            continue
         for ks in product(*ranges):
-            n = base + sum(map(mul, ks, vals))
-            if n > capn:
-                yield n, None
-            else:
-                yield n, tuple(c + sum(map(mul, ks, col)) for c, col in zip(b, cols))
+            lo, hi = 0, size - 1
+            for sense, pre_vals, row_step, at_box in table:
+                a = at_box[j] + sum(map(mul, ks, pre_vals))
+                if sense < 0:
+                    n0, a = a, a - capn
+                lo, hi = progression_interval(lo, hi, a, row_step, sense)
+                if lo > hi:
+                    break
+            yield size, lo, hi, n0, step, partial(_run_point, b, ks, cols, last)

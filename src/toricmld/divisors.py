@@ -140,7 +140,7 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
     agreement of the gluing at shared target rays.
     """
     src, tgt = f.source, f.target
-    a = log_discrepancy_function(src, b)
+    den, nums = log_discrepancy_function(src, b).integral()
     nx, nz = src.rank, tgt.rank
     zcones = tgt.max_cones
     width = nx + nz * len(zcones)
@@ -153,7 +153,7 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
                 return k
         raise OutsideSupport("source cone maps outside the target fan")
 
-    for c, fn in zip(src.max_cones, a.functionals):
+    for c, num in zip(src.max_cones, nums):
         gens = src.cone_gens(c)
         images = [mat_vec(f.matrix, g) for g in gens]
         k = target_cone_index(images)
@@ -163,7 +163,7 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
             for j in range(nz):
                 row[nx + k * nz + j] = Fraction(w[j])
             rows.append(tuple(row))
-            rhs.append(Fraction(dot(fn, g)))
+            rhs.append(Fraction(dot(num, g), den))
     for k1 in range(len(zcones)):
         for k2 in range(k1 + 1, len(zcones)):
             for i in set(zcones[k1]) & set(zcones[k2]):
@@ -179,10 +179,16 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
         return None
     m = sol[:nx]
     ell = pl_function(tgt, tuple(sol[nx + k * nz : nx + (k + 1) * nz] for k in range(len(zcones))))
-    for c, fn in zip(src.max_cones, a.functionals):
+    # A(g) = m·g + ell(w), w = phi(g), with ell taken on the first maximal
+    # target cone holding w, cross-multiplied in integers:
+    # num·g / den = mnum·g / mden + lnum·w / lden
+    mnum, mden = clear_denominators(m)
+    ell_cleared = [clear_denominators(fn) for fn in ell.functionals]
+    for c, num in zip(src.max_cones, nums):
         for g in src.cone_gens(c):
             w = mat_vec(f.matrix, g)
-            if dot(fn, g) != dot(m, g) + (ell(w) if nz else 0):
+            lnum, lden = ell_cleared[target_cone_index((w,))]
+            if dot(num, g) * mden * lden != den * (dot(mnum, g) * lden + dot(lnum, w) * mden):
                 raise AssertionError("relative-triviality witness failed verification")
     return RelTrivialWitness(m=m, ell=ell)
 

@@ -59,7 +59,7 @@ from .intlinalg import (
     vec_mat,
 )
 from .ratlp import Infeasible, Optimal, Unbounded, cone_lp, solve_min
-from .singularities import MINUS_INFINITY, sublevel_points
+from .singularities import MINUS_INFINITY, _triangulated
 
 
 @dataclass(frozen=True)
@@ -318,20 +318,6 @@ def check_radius(radius: int) -> None:
         raise DomainError(f"the search radius must be >= 0, got {radius}")
 
 
-def _relint_test(eq_src, ineq_src):
-    """Predicate x -> phi(x) in relint(tau), from the pulled-back rows
-    (E M, F M) of tau = {E y = 0, F y >= 0} (``_pullback``).
-
-    Relative interiors of the cones of a fan partition its support, so this
-    is the same test as ``locate(f.target, f.apply(x)).cone == tau``.
-    """
-
-    def test(x) -> bool:
-        return all(dot(m, x) == 0 for m in eq_src) and all(dot(m, x) > 0 for m in ineq_src)
-
-    return test
-
-
 def _pick_witness(cands):
     value = min(v for v, _ in cands)
     wit = min(x for v, x in cands if v == value)
@@ -340,6 +326,19 @@ def _pick_witness(cands):
 
 def _norm_key(x) -> tuple:
     return (max(abs(t) for t in x), x)
+
+
+def _fold_run(found, lo, hi, n0, step, point) -> None:
+    """Fold the points x(k) of a run, lo <= k <= hi, valued n0 + step*k,
+    into found: the candidates (n, (_norm_key(x), x)) of the least value n
+    seen so far, built only when they reach it."""
+    k = lo if step >= 0 else hi
+    n = n0 + step * k
+    if n < found[0][0]:
+        found.clear()
+    if not found or n == found[0][0]:
+        ks = range(lo, hi + 1) if step == 0 else (k,)
+        found.extend((n, (_norm_key(x), x)) for x in map(point, ks))
 
 
 def relative_mld(
@@ -369,7 +368,8 @@ def relative_mld(
     tgens = f.target.cone_gens(tau_z)
     teq, tineq = cones.hrep(tgens, nz)
     eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
-    maps_into_relint = _relint_test(eq_src, ineq_src)
+    # x maps into relint(tau_z) iff E M x = 0 and F M x > 0, which excludes 0
+    rows = (eq_src, ineq_src)
 
     # cones whose image meets relint(tau_z), with a lifted lattice witness;
     # face spans the cone's part over tau_z, img its image's part in tau_z
@@ -408,13 +408,16 @@ def relative_mld(
     cap, _, wit0 = best
     capn = math.floor(cap * den)
 
-    ray_vals = [1 - coeff for coeff in b.coeffs]
-    if all(v > 0 for v in ray_vals):
-        cands = [(capn, (_norm_key(wit0), wit0))]
-        for x, n in sublevel_points(src, a, cap):
-            if maps_into_relint(x):
-                cands.append((n, (_norm_key(x), x)))
-        value, wit = _pick_witness(cands)
+    found = [(capn, (_norm_key(wit0), wit0))]
+    if all(1 - coeff > 0 for coeff in b.coeffs):
+        for num, simplices in zip(nums, _triangulated(src)):
+            for simplex in simplices:
+                for _, lo, hi, n0, step, point in cones.capped_runs(
+                    src.cone_gens(simplex), nx, num, capn, rows
+                ):
+                    if lo <= hi:
+                        _fold_run(found, lo, hi, n0, step, point)
+        value, wit = _pick_witness(found)
         assert is_primitive(wit)
         return Exact(Fraction(value, den), wit)
 
@@ -437,24 +440,25 @@ def relative_mld(
     if lower >= eps:
         return CertifiedAtLeast(lower)
 
-    # 0 <= lower < eps: radius-capped direct search; every element of the
-    # walk, above the cap or not, is examined and then charged to the budget.
-    # The walk is not drawn past the budget, so one that ends exactly there
-    # is reported as exhausted too
+    # 0 <= lower < eps: radius-capped direct search.  Every element of the
+    # walk, above the cap or not, is charged to the budget; a run is charged
+    # its size, and only its k below the budget left are examined.  The walk
+    # is not drawn past the budget, so one that ends exactly there is
+    # reported as exhausted too
     budget = _SEARCH_BUDGET
-    found = [(capn, (_norm_key(wit0), wit0))]
-    walk = (
-        point
+    runs = (
+        run
         for _, num, gens, _, _ in relevant
         for t in cones.triangulate(gens, nx)
-        for point in cones.capped_points(
-            tuple(gens[i] for i in t), nx, num, capn, zero_cap=radius, cap=radius
+        for run in cones.capped_runs(
+            tuple(gens[i] for i in t), nx, num, capn, rows, zero_cap=radius, cap=radius
         )
     )
-    for n, x in walk:
-        if x is not None and not is_zero(x) and maps_into_relint(x):
-            found.append((n, (_norm_key(x), x)))
-        budget -= 1
+    for size, lo, hi, n0, step, point in runs:
+        hi = min(hi, budget - 1)
+        if lo <= hi:
+            _fold_run(found, lo, hi, n0, step, point)
+        budget -= min(size, budget)
         if budget <= 0:
             break
     value, wit = _pick_witness(found)

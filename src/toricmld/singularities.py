@@ -8,8 +8,12 @@ is attained among ray generators and parallelepiped points, and sublevel
 regions are finite and enumerable.
 
 Every scan walks simplices of the triangulated cones with
-``cones.capped_points`` (lattice points under a cap) or ``cones.box_points``
-(parallelepiped points alone).  The scans compare integers: A is taken as
+``cones.capped_runs`` (lattice points under a cap, one run of the last
+generator's multiples at a time) or ``cones.box_points`` (parallelepiped
+points alone).  ``mld_at_cone`` passes the walk the H-representation of
+relint(tau), so it counts each run's points in relint(tau) by its interval
+and builds only the points that lower the minimum or first reach 0.  The
+scans compare integers: A is taken as
 integer numerators over one common denominator (``PLFunction.integral``), a
 cap becomes ``floor(cap * den)``, and a Fraction is built only for the value
 returned.  ``global_mld`` evaluates the numerators of a whole box at once,
@@ -19,14 +23,13 @@ point but the zero one, which each box holds exactly once, first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from . import cones
-from .divisors import PLFunction, ToricDivisor, log_discrepancy_function
+from .divisors import ToricDivisor, log_discrepancy_function
 from .errors import DomainError, NotACone, OutsideSupport
 from .fans import Fan, is_cone_of
 from .intlinalg import Vec, dot, is_zero, vec_add
@@ -71,22 +74,6 @@ def _triangulated(f: Fan) -> tuple[tuple[tuple[int, ...], ...], ...]:
         tri = cones.triangulate(gens, f.rank)
         out.append(tuple(tuple(c[i] for i in t) for t in tri))
     return tuple(out)
-
-
-def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
-    """All nonzero lattice points of the support with A <= cap, each with
-    the numerator ``den * A(x)`` for ``den = a.integral()[0]``,
-    deduplicated; A must be positive at every ray."""
-    den, nums = a.integral()
-    capn = math.floor(cap * den)
-    seen = set()
-    for m, simplices in zip(nums, _triangulated(f)):
-        for simplex in simplices:
-            for n, x in cones.capped_points(f.cone_gens(simplex), f.rank, m, capn):
-                if x is None or is_zero(x) or x in seen:
-                    continue
-                seen.add(x)
-                yield x, n
 
 
 def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
@@ -159,33 +146,40 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     best_n, best_wit = capn, p0
     simplices = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, f.rank)]
 
+    # relint(tau) = {E x = 0, F x > 0}, which excludes 0; A >= 0 on the
+    # generators, so the least value along a run is at its lo
+    rows = cones.hrep(gens, f.rank)
+
     if all(v > 0 for v in vals):
         for sgens in simplices:
-            for n, x in cones.capped_points(sgens, f.rank, m, capn):
-                if x is None or is_zero(x) or not cones.relint_contains(gens, f.rank, x):
-                    continue
-                count += 1
-                if n < best_n:
-                    best_n, best_wit = n, x
+            for _, lo, hi, n0, step, point in cones.capped_runs(sgens, f.rank, m, capn, rows):
+                if lo <= hi:
+                    count += hi - lo + 1
+                    if n0 + step * lo < best_n:
+                        best_n, best_wit = n0 + step * lo, point(lo)
         return MldReport(Fraction(best_n, den), best_wit, count, "exact")
 
     # some generators sit at level zero: the closed infimum comes from the
     # parallelepiped scan, attainment is probed with capped coefficients on
     # the zero directions.  Every element of the walk is counted, including
-    # those above the cap (all nonzero, as capn >= 0)
+    # those above the cap, but its first: as capn >= 0, every k range of the
+    # zero box point is nonempty, so the walk starts at the zero point
     closed = Fraction(0)
     found = None
     for sgens in simplices:
-        for n, x in cones.capped_points(sgens, f.rank, m, capn, _ZERO_CAP):
-            if x is not None and is_zero(x):
+        count -= 1
+        for size, lo, hi, n0, step, point in cones.capped_runs(
+            sgens, f.rank, m, capn, rows, _ZERO_CAP
+        ):
+            count += size
+            if lo > hi:
                 continue
-            count += 1
-            if x is None or not cones.relint_contains(gens, f.rank, x):
-                continue
-            if n < best_n:
-                best_n, best_wit = n, x
-            if n == 0 and found is None:
-                found = x
+            if n0 + step * lo < best_n:
+                best_n, best_wit = n0 + step * lo, point(lo)
+            if found is None:
+                zlo, zhi = cones.progression_interval(lo, hi, n0, step, 0)
+                if zlo <= zhi:
+                    found = point(zlo)
     if best_n == 0 or found is not None:
         wit = found if found is not None else best_wit
         return MldReport(closed, wit, count, "exact")

@@ -21,8 +21,9 @@ from toricmld.cones import (
     span_equations,
     span_lattice_basis,
     triangulate,
+    values_at,
 )
-from toricmld.divisors import ToricDivisor, divisor, log_discrepancy_function
+from toricmld.divisors import PLFunction, ToricDivisor, divisor, log_discrepancy_function
 from toricmld.errors import DomainError, NoCone, NotACone
 from toricmld.fans import Fan, fan, is_cone_of, point_fan, star_subdivision
 from toricmld.fibration import (
@@ -37,10 +38,10 @@ from toricmld.fibration import (
     _norm_key,
     _pick_witness,
     _pullback,
-    _relint_test,
     morphism,
 )
 from toricmld.intlinalg import (
+    Vec,
     clear_denominators,
     content,
     det,
@@ -612,6 +613,84 @@ def gens_with_invariant_factors(rng: random.Random, factors, dim: int):
     return tuple(
         tuple(sum(emb[r][i] * v[i][j] for i in range(d)) for r in range(dim)) for j in range(d)
     )
+
+
+# -- The per-element walk the library replaced by cones.capped_runs ---------
+#
+# capped_points yields every element of the capped lattice walk, one at a
+# time; sublevel_points and _relint_test are its filters from singularities
+# and fibration.  The run-at-a-time walk is compared with them.
+
+
+def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int = 0, cap=None):
+    """Lattice points x = b + Σ k_i g_i of the simplicial cone over gens, b a
+    box point, as pairs (m·x, x); gens must be linearly independent.
+
+    k_i runs up to (capn - m·b) // m·g_i where m·g_i > 0, and no further
+    than cap when cap is given; it runs up to zero_cap where m·g_i <= 0.  The
+    k are walked in itertools.product order.  A pair with m·x > capn is
+    yielded as (m·x, None) without building the point, so that callers can
+    still count it.
+    """
+    vals = [dot(m, g) for g in gens]
+    cols = [tuple(g[j] for g in gens) for j in range(dim)]
+    boxes = box_points(gens, dim)
+    for b, base in zip(boxes, values_at(m, boxes)):
+        ranges = []
+        for v in vals:
+            if v > 0:
+                hi = (capn - base) // v
+                if cap is not None:
+                    hi = min(hi, cap)
+            else:
+                hi = zero_cap
+            ranges.append(range(hi + 1))
+        for ks in product(*ranges):
+            n = base + sum(map(mul, ks, vals))
+            if n > capn:
+                yield n, None
+            else:
+                yield n, tuple(c + sum(map(mul, ks, col)) for c, col in zip(b, cols))
+
+
+def expand_runs(runs):
+    """(m·x, x) for every point in the intervals of cones.capped_runs' runs,
+    in walk order."""
+    return [
+        (n0 + step * k, point(k))
+        for _, lo, hi, n0, step, point in runs
+        for k in range(lo, hi + 1)
+    ]
+
+
+def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
+    """All nonzero lattice points of the support with A <= cap, each with
+    the numerator ``den * A(x)`` for ``den = a.integral()[0]``,
+    deduplicated; A must be positive at every ray."""
+    den, nums = a.integral()
+    capn = math.floor(cap * den)
+    seen = set()
+    for m, simplices in zip(nums, _triangulated(f)):
+        for simplex in simplices:
+            for n, x in capped_points(f.cone_gens(simplex), f.rank, m, capn):
+                if x is None or is_zero(x) or x in seen:
+                    continue
+                seen.add(x)
+                yield x, n
+
+
+def _relint_test(eq_src, ineq_src):
+    """Predicate x -> phi(x) in relint(tau), from the pulled-back rows
+    (E M, F M) of tau = {E y = 0, F y >= 0} (``_pullback``).
+
+    Relative interiors of the cones of a fan partition its support, so this
+    is the same test as ``locate(f.target, f.apply(x)).cone == tau``.
+    """
+
+    def test(x) -> bool:
+        return all(dot(m, x) == 0 for m in eq_src) and all(dot(m, x) > 0 for m in ineq_src)
+
+    return test
 
 
 # -- Fraction references for the integer-numerator scans --------------------

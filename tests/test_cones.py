@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    capped_points,
+    expand_runs,
     gens_with_invariant_factors,
     reference_box_points,
     reference_box_points_rows,
@@ -20,13 +22,14 @@ from toricmld.cones import (
     _irredundant,
     barycentric,
     box_points,
-    capped_points,
+    capped_runs,
     contains,
     covered_by,
     cut,
     extreme_rays,
     hrep,
     is_pointed,
+    progression_interval,
     relint_contains,
     relint_point,
     span_coordinates,
@@ -385,3 +388,64 @@ def test_capped_points_match_brute_force(gens, data):
         if all(k <= zero_cap if v == 0 else cap is None or k <= cap for k, v in zip(ks, vals)):
             want.add(x)
     assert set(got) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-3, 3), st.integers(-3, 4), st.integers(-9, 9), st.integers(-4, 4))
+def test_progression_interval_matches_brute_force(lo, hi, a, step):
+    for sense, holds in ((-1, lambda v: v <= 0), (0, lambda v: v == 0), (1, lambda v: v > 0)):
+        got_lo, got_hi = progression_interval(lo, hi, a, step, sense)
+        want = [k for k in range(lo, hi + 1) if holds(a + step * k)]
+        assert list(range(got_lo, got_hi + 1)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_capped_runs_match_capped_points(seed):
+    """Expanding each run's [lo, hi] gives, in order, exactly the elements
+    (n, x) of the per-element walk with x built (n <= capn) and the rows
+    satisfied (E x = 0, F x > 0); the run sizes add up to the number of
+    elements of that walk.  Cones come with random generators or with
+    prescribed Smith invariant factors, functionals take positive, zero and
+    negative values on the generators, and the rows are random."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    d = rng.randint(1, dim)
+    if rng.random() < 0.5:
+        factors = [1] * (d - 1) + [rng.randint(1, 4)]
+        if d > 1 and rng.random() < 0.5:
+            factors[-2] = 2
+            factors[-1] = 2 * rng.randint(1, 2)
+        gens = gens_with_invariant_factors(rng, factors, dim)
+    else:
+        gens = tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(d))
+        if rank(gens) != d:
+            return
+    if max(abs(c) for g in gens for c in g) > 6 or len(box_points(gens, dim)) > 40:
+        return
+    eqs, ineqs = hrep(gens, dim)
+    m = [rng.randint(-2, 2) for _ in range(dim)]
+    for row in ineqs:  # lean towards m >= 0 on the cone, with some zeros
+        if rng.random() < 0.6:
+            m = [a + rng.randint(0, 2) * b for a, b in zip(m, row)]
+    rows = (
+        tuple(tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(0, 1))),
+        tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 2))),
+    )
+    if rng.random() < 0.3:
+        rows = (eqs, ineqs)
+    capn = rng.randint(-2, 12)
+    zero_cap = rng.randint(0, 2)
+    cap = rng.choice([None, None, 0, 1, 3])
+
+    ref = list(capped_points(gens, dim, m, capn, zero_cap, cap))
+    runs = list(capped_runs(gens, dim, m, capn, rows, zero_cap, cap))
+    assert sum(run[0] for run in runs) == len(ref)
+    want = [
+        (n, x)
+        for n, x in ref
+        if x is not None
+        and all(dot(e, x) == 0 for e in rows[0])
+        and all(dot(f, x) > 0 for f in rows[1])
+    ]
+    assert expand_runs(runs) == want

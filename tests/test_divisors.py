@@ -21,6 +21,7 @@ from helpers import (
     reference_wall_mismatch,
     to_a1,
 )
+from toricmld import divisors
 from toricmld.divisors import (
     boundary_divisor,
     divisor,
@@ -190,6 +191,26 @@ class TestRelTrivial:
     def test_fibration_with_multiple_fiber_not_trivial(self):
         f = to_a1(ex13_r1_q2())
         assert rel_trivial_witness(f, zero_divisor(f.source)) is None
+
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_off_witness_fails_verification(self, monkeypatch, entry):
+        """The re-verification, in integers, catches a solution of the
+        gluing system that is off by 1/7 in m (entry 0) or in ell (entry
+        -1); the per-cone solves of A are left alone."""
+        solve = divisors.solve_exact
+
+        def off(rows, rhs):
+            sol = solve(rows, rhs)
+            if len(rows[0]) > 2:  # the gluing system, not a cone of A
+                sol = list(sol)
+                sol[entry] += Fraction(1, 7)
+            return tuple(sol)
+
+        src = product_fan(p1(), a1())
+        b = divisor(src, [1 if r[1] == 0 else 0 for r in src.rays])
+        monkeypatch.setattr(divisors, "solve_exact", off)
+        with pytest.raises(AssertionError, match="relative-triviality witness failed verification"):
+            rel_trivial_witness(to_a1(src), b)
 
 
 class TestAmpleOver:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _relint_test,
     a1,
     a2,
     cones_of,
@@ -36,7 +37,6 @@ from toricmld.errors import (
 from toricmld.fans import fan, locate, point_fan
 from toricmld.fibration import (
     _pullback,
-    _relint_test,
     CertifiedAtLeast,
     Exact,
     Indeterminate,

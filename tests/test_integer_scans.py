@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     cones_of,
+    expand_runs,
     identity_morphism,
     outcome,
     p2,
@@ -25,6 +26,7 @@ from helpers import (
     reference_mld_at_cone,
     reference_relative_mld,
     reference_sublevel_points,
+    sublevel_points,
 )
 from toricmld import cones, fibration
 from toricmld.bounds import _fiber_cones_minimum, example_family
@@ -37,7 +39,8 @@ from toricmld.fibration import (
     lc_thresholds,
     relative_mld,
 )
-from toricmld.singularities import global_mld, mld_at_cone, sublevel_points
+from toricmld.intlinalg import is_zero
+from toricmld.singularities import _triangulated, global_mld, mld_at_cone
 
 
 def random_coeffs(rng, n):
@@ -110,7 +113,8 @@ def test_mld_at_cone_zero_branch_matches_fraction_scan():
 @given(st.integers(0, 10_000))
 def test_sublevel_points_match_fraction_scan(seed):
     """Same points in the same order, at caps that some lattice points
-    attain exactly and at caps between two numerators."""
+    attain exactly and at caps between two numerators, from the
+    per-element walk and from the unfiltered run-at-a-time walk."""
     rng = random.Random(seed)
     f = random_fan(rng, max_rank=3, subdivisions=2)
     coeffs = [c if c < 1 else Fraction(1, 2) for c in random_coeffs(rng, len(f.rays))]
@@ -118,8 +122,18 @@ def test_sublevel_points_match_fraction_scan(seed):
     den = a.integral()[0]
     ray_cap = 1 - coeffs[rng.randrange(len(coeffs))]
     for cap in (ray_cap * rng.randint(1, 3), ray_cap + Fraction(1, 3 * den)):
-        new = [(x, Fraction(n, den)) for x, n in sublevel_points(f, a, cap)]
-        assert new == list(reference_sublevel_points(f, a, cap))
+        want = list(reference_sublevel_points(f, a, cap))
+        assert [(x, Fraction(n, den)) for x, n in sublevel_points(f, a, cap)] == want
+        # the run-at-a-time walk with no rows, deduplicated, gives the same
+        capn, seen, walked = math.floor(cap * den), set(), []
+        for m, simplices in zip(a.integral()[1], _triangulated(f)):
+            for simplex in simplices:
+                runs = cones.capped_runs(f.cone_gens(simplex), f.rank, m, capn, ((), ()))
+                for n, x in expand_runs(runs):
+                    if not is_zero(x) and x not in seen:
+                        seen.add(x)
+                        walked.append((x, Fraction(n, den)))
+        assert walked == want
 
 
 @pytest.mark.parametrize("q", [20, 37, 40])
@@ -222,20 +236,22 @@ def test_relative_mld_search_matches_fraction_scan(monkeypatch):
 def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget):
     """A search that runs out of budget stops at the same element of the
     walk as the reference and returns what the reference returns.  The walk
-    is counted through cones.capped_points: every element, including those
-    above the cap, is charged, so it never hands over more than `budget`
-    elements, and it ran out when it handed over exactly `budget`.  A search
-    that ran out and found neither the lower bound nor a point below eps
-    returns BudgetExhausted, never Indeterminate."""
-    pulled = [0]
-    walk = cones.capped_points
+    is counted through cones.capped_runs: every element of a run, including
+    those above the cap, is charged, the last run only up to the budget
+    left, so the search charges min(budget, elements handed over).  No run
+    is drawn once the budget is spent, so it never charges more than
+    `budget` elements, and it ran out when it charged exactly `budget`.  A
+    search that ran out and found neither the lower bound nor a point below
+    eps returns BudgetExhausted, never Indeterminate."""
+    sizes = []
+    walk = cones.capped_runs
 
     def counting_walk(*args, **kwargs):
-        for point in walk(*args, **kwargs):
-            pulled[0] += 1
-            yield point
+        for run in walk(*args, **kwargs):
+            sizes.append(run[0])
+            yield run
 
-    monkeypatch.setattr(cones, "capped_points", counting_walk)
+    monkeypatch.setattr(cones, "capped_runs", counting_walk)
     monkeypatch.setattr(fibration, "_SEARCH_BUDGET", budget)
     exhausted = 0
     reported = 0
@@ -243,14 +259,15 @@ def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget
         f, b, tau, eps, radius = relative_case(random.Random(seed), seed % 3)
         if all(1 - c > 0 for c in b.coeffs):
             continue
-        pulled[0] = 0
+        sizes.clear()
         res = outcome(relative_mld, f, b, tau, eps, radius=radius)
-        assert pulled[0] <= budget
-        if pulled[0] == budget:
+        assert sum(sizes[:-1]) < budget
+        charged = min(budget, sum(sizes))
+        if charged == budget:
             exhausted += 1
             assert not isinstance(res, fibration.Indeterminate)
         if isinstance(res, BudgetExhausted):
-            assert pulled[0] == budget
+            assert charged == budget
             assert res == BudgetExhausted(radius, budget)
             reported += 1
         same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius, budget=budget))
