@@ -38,10 +38,10 @@ from .fibration import (
     Indeterminate,
     ToricMorphism,
     Witness,
+    _discriminant_divisor,
+    _lc_thresholds,
     average_boundary,
     check_radius,
-    discriminant_divisor,
-    lc_thresholds,
     morphism,
     pullback_multiplicities,
     relative_mld,
@@ -270,7 +270,9 @@ def verify_adjunction_theorem(
         alpha = Fraction(1, factorial(r))
         gamma = average_boundary(b, f.source, alpha)
         measurements.append(("alpha", alpha))
-        disc = discriminant_divisor(f, gamma)
+        # A(gamma) serves the triviality solve and every threshold below
+        a_gamma = log_discrepancy_function(f.source, gamma)
+        disc = _discriminant_divisor(f, a_gamma)
         measurements.append(("base_boundary", disc.divisor.coeffs))
         rep = mld_at_cone(f.target, disc.divisor, tau_z)
         measurements.append(("base_mld", rep.value))
@@ -284,7 +286,7 @@ def verify_adjunction_theorem(
             # triviality over the base is inherited by refinements, so only the
             # per-ray thresholds need recomputing on the finer fan
             lifted = ToricMorphism(matrix=f.matrix, source=f.source, target=sub)
-            disc2 = divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])
+            disc2 = divisor(sub, [1 - t for t in _lc_thresholds(lifted, a_gamma)])
             idx = sub.rays.index(p)
             rep2 = mld_at_cone(sub, disc2, (idx,))
             label = "probe_" + ",".join(str(x) for x in p)

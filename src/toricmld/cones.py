@@ -30,6 +30,11 @@ integers, by whole columns: 0 <= k_r < N by each residue column's min and
 max, exact division by N by each coordinate column's remainders, and one
 distinct point per coset by the size of the point set.  ``values_at``
 evaluates a functional over the points' coordinate columns in the same way.
+What depends on the simplex alone (the rank check, the generator matrix in
+its span lattice, |det|, the Smith form's residue steps) is cached per
+simplex in bounded caches (``_box_lattice``, ``_residue_steps``), O(d^2)
+integers each; the residues, the points and the checks are made on every
+call.
 
 ``capped_runs`` is the one enumerator of the other lattice points of a
 simplicial cone (box points plus multiples of the generators, under a cap on
@@ -274,6 +279,30 @@ def barycentric(gens: tuple[Vec, ...], x):
     return sol
 
 
+@lru_cache(maxsize=4096)
+def _box_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[Mat, int]:
+    """(V, |det V|) for independent gens: V's columns are the generators in a
+    basis of the saturated lattice of their span."""
+    if rank(gens) != len(gens):
+        raise NotACone("parallelepiped needs independent generators")
+    basis = span_lattice_basis(gens, dim)
+    vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
+    return vmat, abs(det(vmat))
+
+
+@lru_cache(maxsize=4096)
+def _residue_steps(vmat: Mat) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """N = D[-1] and, for each invariant factor D_i > 1, (D_i, the residue
+    step of s_i in each column r): column i of W scaled by N / D_i, with
+    U V W = D the Smith form."""
+    dmat, _, w = smith_normal_form(vmat)
+    diag = [dmat[i][i] for i in range(len(vmat))]
+    n = diag[-1]
+    return n, tuple(
+        (di, tuple(row[i] * (n // di) for row in w)) for i, di in enumerate(diag) if di != 1
+    )
+
+
 def _box_residues(vmat: Mat):
     """Integer residues of the lattice points of {V t : t ∈ [0,1)^d}.
 
@@ -283,19 +312,15 @@ def _box_residues(vmat: Mat):
     k = W (s_i N / D_i) mod N.  Returns N and one column per generator:
     column r lists k_r of every coset, in the order of itertools.product
     over s.  The columns grow one coordinate of s at a time: each entry a
-    of column r becomes (a + j * step_r) % N for j < D_i.
+    of column r becomes (a + j * step_r) % N for j < D_i.  The Smith form
+    and the steps are cached per V (``_residue_steps``); the columns are
+    built on every call.
     """
-    d = len(vmat)
-    dmat, _, w = smith_normal_form(vmat)
-    diag = [dmat[i][i] for i in range(d)]
-    n = diag[-1]
-    columns = [[0] for _ in range(d)]
-    for i, di in enumerate(diag):
-        if di == 1:
-            continue
+    n, steps = _residue_steps(vmat)
+    columns = [[0] for _ in range(len(vmat))]
+    for di, step in steps:
         for r, col in enumerate(columns):
-            # column i of W, scaled by N / D_i, is the residue step of s_i
-            offsets = [j * w[r][i] * (n // di) for j in range(di)]
+            offsets = [j * step[r] for j in range(di)]
             columns[r] = [(a + o) % n for a in col for o in offsets]
     return n, columns
 
@@ -327,15 +352,13 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     and max), the division by N is exact (each coordinate column's
     remainders), and there are |det| pairwise distinct points, one per coset
     of the lattice modulo the generators.  The first point is 0 (k = 0), and
-    as the points are distinct it is the only zero point.
+    as the points are distinct it is the only zero point.  The lattice data
+    of the simplex (V, |det V|, the Smith form) is cached; the residues, the
+    points and the checks are not.
     """
-    d = len(gens)
-    if d == 0:
+    if not gens:
         return ((0,) * dim,)
-    if rank(tuple(gens)) != d:
-        raise NotACone("parallelepiped needs independent generators")
-    basis = span_lattice_basis(gens, dim)
-    vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
+    vmat, index = _box_lattice(tuple(map(tuple, gens)), dim)
     n, residues = _box_residues(vmat)
     if any(min(col) < 0 or max(col) >= n for col in residues):
         raise AssertionError("box point fell outside the half-open box")
@@ -347,7 +370,7 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
             raise AssertionError("box point is not a lattice point")
         coords.append(list(map(floordiv, nums, repeat(n))))
     points = tuple(zip(*coords))
-    if len(set(points)) != abs(det(vmat)):
+    if len(set(points)) != index:
         raise AssertionError("parallelepiped enumeration lost coset representatives")
     return points
 

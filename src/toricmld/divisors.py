@@ -3,6 +3,11 @@
 A divisor is one exact rational coefficient per ray.  All discrepancy data
 is carried by the PL function A with A(ray v_i) = 1 - b_i; the canonical
 divisor itself is never materialized.
+
+``rel_trivial_witness`` builds the rows of its gluing system once per
+morphism (``_gluing_system``, a bounded cache); each call builds the
+right-hand side from A, solves, and re-verifies the witness in integers.
+A is never cached.  ``_rel_trivial_witness`` takes A already built.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cones
 from .errors import NotQCartier, OutsideSupport, ValidationError
@@ -139,12 +145,52 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
     maximal target cone, glued PL; constraints are the ray values of A and
     agreement of the gluing at shared target rays.
     """
+    return _rel_trivial_witness(f, log_discrepancy_function(f.source, b))
+
+
+def _rel_trivial_witness(f, a: PLFunction) -> RelTrivialWitness | None:
+    """rel_trivial_witness for the log discrepancy function a of the pair:
+    the system's rows come from ``_gluing_system(f)``, its right-hand side
+    (A at each source cone's generators, then 0 per gluing row) from a."""
+    den, nums = a.integral()
+    rows, cone_rays, nglue = _gluing_system(f)
+    nx, nz = f.source.rank, f.target.rank
+    rhs = [Fraction(dot(num, g), den) for num, rays in zip(nums, cone_rays) for g, _, _ in rays]
+    rhs += [0] * nglue
+    sol = solve_exact(rows, tuple(rhs))
+    if sol is None:
+        return None
+    m = sol[:nx]
+    nzc = len(f.target.max_cones)
+    ell = pl_function(f.target, tuple(sol[nx + k * nz : nx + (k + 1) * nz] for k in range(nzc)))
+    # A(g) = m·g + ell(w), w = phi(g), with ell taken on the first maximal
+    # target cone holding w, cross-multiplied in integers:
+    # num·g / den = mnum·g / mden + lnum·w / lden
+    mnum, mden = clear_denominators(m)
+    ell_cleared = [clear_denominators(fn) for fn in ell.functionals]
+    for num, rays in zip(nums, cone_rays):
+        for g, w, k in rays:
+            lnum, lden = ell_cleared[k]
+            if dot(num, g) * mden * lden != den * (dot(mnum, g) * lden + dot(lnum, w) * mden):
+                raise AssertionError("relative-triviality witness failed verification")
+    return RelTrivialWitness(m=m, ell=ell)
+
+
+@lru_cache(maxsize=1024)
+def _gluing_system(f):
+    """The rows of rel_trivial_witness's system, which depend on f alone.
+
+    Returns (rows, cone_rays, nglue).  Row (g, 0.., w, 0..) puts the
+    image w = phi(g) of each generator g of each maximal source cone in the
+    slot of the first maximal target cone holding that cone's image; the
+    nglue rows after them equate the functionals of two maximal target
+    cones at each target ray they share.  cone_rays lists, per maximal
+    source cone, (g, w, k) with k the first maximal target cone holding w.
+    """
     src, tgt = f.source, f.target
-    den, nums = log_discrepancy_function(src, b).integral()
     nx, nz = src.rank, tgt.rank
     zcones = tgt.max_cones
     width = nx + nz * len(zcones)
-    rows, rhs = [], []
 
     def target_cone_index(image_gens):
         for k, zc in enumerate(zcones):
@@ -153,44 +199,29 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
                 return k
         raise OutsideSupport("source cone maps outside the target fan")
 
-    for c, num in zip(src.max_cones, nums):
+    rows, cone_rays = [], []
+    for c in src.max_cones:
         gens = src.cone_gens(c)
         images = [mat_vec(f.matrix, g) for g in gens]
         k = target_cone_index(images)
         for g, w in zip(gens, images):
-            row = [Fraction(0)] * width
-            row[:nx] = [Fraction(x) for x in g]
-            for j in range(nz):
-                row[nx + k * nz + j] = Fraction(w[j])
+            row = [0] * width
+            row[:nx] = g
+            row[nx + k * nz : nx + (k + 1) * nz] = w
             rows.append(tuple(row))
-            rhs.append(Fraction(dot(num, g), den))
+        cone_rays.append(tuple((g, w, target_cone_index((w,))) for g, w in zip(gens, images)))
+    nglue = 0
     for k1 in range(len(zcones)):
         for k2 in range(k1 + 1, len(zcones)):
             for i in set(zcones[k1]) & set(zcones[k2]):
-                row = [Fraction(0)] * width
+                row = [0] * width
                 w = tgt.rays[i]
                 for j in range(nz):
-                    row[nx + k1 * nz + j] += Fraction(w[j])
-                    row[nx + k2 * nz + j] -= Fraction(w[j])
+                    row[nx + k1 * nz + j] += w[j]
+                    row[nx + k2 * nz + j] -= w[j]
                 rows.append(tuple(row))
-                rhs.append(Fraction(0))
-    sol = solve_exact(tuple(rows), tuple(rhs))
-    if sol is None:
-        return None
-    m = sol[:nx]
-    ell = pl_function(tgt, tuple(sol[nx + k * nz : nx + (k + 1) * nz] for k in range(len(zcones))))
-    # A(g) = m·g + ell(w), w = phi(g), with ell taken on the first maximal
-    # target cone holding w, cross-multiplied in integers:
-    # num·g / den = mnum·g / mden + lnum·w / lden
-    mnum, mden = clear_denominators(m)
-    ell_cleared = [clear_denominators(fn) for fn in ell.functionals]
-    for c, num in zip(src.max_cones, nums):
-        for g in src.cone_gens(c):
-            w = mat_vec(f.matrix, g)
-            lnum, lden = ell_cleared[target_cone_index((w,))]
-            if dot(num, g) * mden * lden != den * (dot(mnum, g) * lden + dot(lnum, w) * mden):
-                raise AssertionError("relative-triviality witness failed verification")
-    return RelTrivialWitness(m=m, ell=ell)
+                nglue += 1
+    return tuple(rows), tuple(cone_rays), nglue
 
 
 def is_ample_over(f, d: ToricDivisor) -> bool:

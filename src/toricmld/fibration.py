@@ -17,6 +17,14 @@ Properness is decided without generators of any preimage: over each maximal
 target cone, the source cones of full dimension in its preimage must glue
 along their walls up to the preimage's boundary hyperplanes, the argument
 ``fans.is_complete`` uses for the whole space.
+
+What depends on the fans and f alone is computed once, in bounded caches:
+``validate_morphism``, ``relative_mld``'s plan per (f, tau_z)
+(``_relative_plan``: pulled-back rows and relevant cones) and
+``_lc_threshold``'s per (f, w) (``_lc_plan``: the cones whose image
+contains w).  The LPs and scans, which depend on the boundary, run on
+every call; no cache is keyed on it.  ``discriminant_divisor`` builds A
+once for the triviality solve and every threshold.
 """
 
 from __future__ import annotations
@@ -24,14 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cones
 from .divisors import (
     PLFunction,
     ToricDivisor,
+    _rel_trivial_witness,
     divisor,
     log_discrepancy_function,
-    rel_trivial_witness,
 )
 from .errors import (
     DomainError,
@@ -58,7 +67,7 @@ from .intlinalg import (
     vec_add,
     vec_mat,
 )
-from .ratlp import Infeasible, Optimal, Unbounded, cone_lp, solve_min
+from .ratlp import Optimal, Unbounded, cone_lp, solve_min
 from .singularities import MINUS_INFINITY, _triangulated
 
 
@@ -156,7 +165,10 @@ def _is_proper(f: ToricMorphism) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
 def validate_morphism(f: ToricMorphism) -> MorphismDiagnostics:
+    """Compatibility, surjectivity onto the target lattice, properness and
+    relative dimension; a function of f alone, so cached."""
     nz = f.target.rank
     d, *_ = (smith_normal_form(f.matrix) if f.matrix else ((), (), ()))
     factors = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
@@ -227,12 +239,8 @@ def _lc_threshold(f: ToricMorphism, a: PLFunction, w: int) -> Fraction:
     """lc_threshold_over for the log discrepancy function a of the pair."""
     wv = f.target.rays[w]
     vals = []
-    for c, fn in zip(f.source.max_cones, a.functionals):
-        gens = f.source.cone_gens(c)
-        img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
-        if not cones.contains(img, f.target.rank, wv):
-            continue
-        res = solve_min(cone_lp(gens, f.matrix, wv, fn))
+    for k, gens in _lc_plan(f, w):
+        res = solve_min(cone_lp(gens, f.matrix, wv, a.functionals[k]))
         if isinstance(res, Unbounded):
             raise NotLogCanonicalOverBase(
                 f"A is unbounded below on the fiber over ray {w}"
@@ -244,9 +252,26 @@ def _lc_threshold(f: ToricMorphism, a: PLFunction, w: int) -> Fraction:
     return min(vals)
 
 
+@lru_cache(maxsize=1024)
+def _lc_plan(f: ToricMorphism, w: int) -> tuple[tuple[int, tuple[Vec, ...]], ...]:
+    """(index, generators) of each maximal source cone whose image contains
+    the target ray w."""
+    wv = f.target.rays[w]
+    out = []
+    for k, c in enumerate(f.source.max_cones):
+        gens = f.source.cone_gens(c)
+        img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
+        if cones.contains(img, f.target.rank, wv):
+            out.append((k, gens))
+    return tuple(out)
+
+
 def lc_thresholds(f: ToricMorphism, b: ToricDivisor) -> tuple[Fraction, ...]:
     """lc_threshold_over at every target ray, in ray order, building A once."""
-    a = log_discrepancy_function(f.source, b)
+    return _lc_thresholds(f, log_discrepancy_function(f.source, b))
+
+
+def _lc_thresholds(f: ToricMorphism, a: PLFunction) -> tuple[Fraction, ...]:
     return tuple(_lc_threshold(f, a, w) for w in range(len(f.target.rays)))
 
 
@@ -260,9 +285,15 @@ class DiscriminantResult:
 def discriminant_divisor(f: ToricMorphism, b: ToricDivisor) -> DiscriminantResult:
     """Divisorial part of adjunction on the base: coefficient 1 - t_w at
     each target ray; the moduli part is zero for equivariant data."""
-    if rel_trivial_witness(f, b) is None:
+    return _discriminant_divisor(f, log_discrepancy_function(f.source, b))
+
+
+def _discriminant_divisor(f: ToricMorphism, a: PLFunction) -> DiscriminantResult:
+    """discriminant_divisor for the log discrepancy function a of the pair,
+    which serves both the triviality solve and every threshold."""
+    if _rel_trivial_witness(f, a) is None:
         raise NotRelTrivial("K+B is not trivial over the base")
-    ts = lc_thresholds(f, b)
+    ts = _lc_thresholds(f, a)
     return DiscriminantResult(
         divisor=divisor(f.target, [1 - t for t in ts]),
         thresholds=ts,
@@ -341,6 +372,38 @@ def _fold_run(found, lo, hi, n0, step, point) -> None:
         found.extend((n, (_norm_key(x), x)) for x in map(point, ks))
 
 
+@lru_cache(maxsize=1024)
+def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
+    """What relative_mld needs of f and tau_z alone: the pulled-back rows
+    (E M, F M), with x over relint(tau_z) iff E M x = 0 and F M x > 0 (which
+    excludes 0); the sum of the F M rows; and (index, generators, face, pc)
+    of each maximal source cone whose image meets relint(tau_z).  The face
+    spans the cone's part over tau_z, and pc, the sum of its nonzero
+    images, is a lattice point of relint(tau_z) in the cone's image."""
+    if not is_cone_of(f.target, tau_z):
+        raise NotACone(f"{tau_z} is not a cone of the target fan")
+    src, nz = f.source, f.target.rank
+    tgens = f.target.cone_gens(tau_z)
+    teq, tineq = cones.hrep(tgens, nz)
+    eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
+    plan = []
+    for k, c in enumerate(src.max_cones):
+        gens = src.cone_gens(c)
+        face = tuple(
+            g
+            for g in gens
+            if all(dot(m, g) == 0 for m in eq_src) and all(dot(m, g) >= 0 for m in ineq_src)
+        )
+        img = tuple(sorted({u for u in map(f.apply, face) if not is_zero(u)}))
+        if not img:
+            continue
+        pc = cones.relint_point(img)
+        if is_zero(pc) or not cones.relint_contains(tgens, nz, pc):
+            continue
+        plan.append((k, gens, face, pc))
+    return (eq_src, ineq_src), tuple(map(sum, zip(*ineq_src))), tuple(plan)
+
+
 def relative_mld(
     f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...], eps, radius: int = 10_000
 ) -> RelMldResult:
@@ -360,34 +423,16 @@ def relative_mld(
     tau_z = tuple(sorted(set(int(i) for i in tau_z)))
     if not tau_z:
         raise DomainError("the base cone must have dimension >= 1")
-    if not is_cone_of(f.target, tau_z):
-        raise NotACone(f"{tau_z} is not a cone of the target fan")
-    src, nz, nx = f.source, f.target.rank, f.source.rank
+    rows, u0_src, plan = _relative_plan(f, tau_z)
+    src, nx = f.source, f.source.rank
     a = log_discrepancy_function(src, b)
     den, nums = a.integral()
-    tgens = f.target.cone_gens(tau_z)
-    teq, tineq = cones.hrep(tgens, nz)
-    eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
-    # x maps into relint(tau_z) iff E M x = 0 and F M x > 0, which excludes 0
-    rows = (eq_src, ineq_src)
 
-    # cones whose image meets relint(tau_z), with a lifted lattice witness;
-    # face spans the cone's part over tau_z, img its image's part in tau_z
+    # each planned cone with a lifted lattice witness over relint(tau_z)
     relevant = []
     best = None
-    for c, fn, num in zip(src.max_cones, a.functionals, nums):
-        gens = src.cone_gens(c)
-        face = tuple(
-            g
-            for g in gens
-            if all(dot(m, g) == 0 for m in eq_src) and all(dot(m, g) >= 0 for m in ineq_src)
-        )
-        img = tuple(sorted({u for u in map(f.apply, face) if not is_zero(u)}))
-        if not img:
-            continue
-        pc = cones.relint_point(img)
-        if is_zero(pc) or not cones.relint_contains(tgens, nz, pc):
-            continue
+    for k, gens, face, pc in plan:
+        fn = a.functionals[k]
         res = solve_min(cone_lp(gens, f.matrix, pc, fn))
         assert isinstance(res, (Optimal, Unbounded))
         if isinstance(res, Unbounded):
@@ -400,7 +445,7 @@ def relative_mld(
             return Exact(MINUS_INFINITY, _descend(a, v0, d))
         v0 = primitive(scale_to_integer(res.point))
         val0 = a(v0)
-        relevant.append((fn, num, gens, face, v0))
+        relevant.append((k, fn, face, v0))
         if best is None or (val0, _norm_key(v0)) < best[:2]:
             best = (val0, _norm_key(v0), v0)
     if not relevant:
@@ -422,9 +467,8 @@ def relative_mld(
         return Exact(Fraction(value, den), wit)
 
     # closed-region lower bound, one LP per relevant cone
-    u0_src = tuple(map(sum, zip(*ineq_src)))
     lower = None
-    for fn, _, _, face, v0 in relevant:
+    for _, fn, face, v0 in relevant:
         res = solve_min(cone_lp(face, (u0_src,), (1,), fn))
         if isinstance(res, Unbounded):
             d = primitive(scale_to_integer(res.direction))
@@ -448,10 +492,10 @@ def relative_mld(
     budget = _SEARCH_BUDGET
     runs = (
         run
-        for _, num, gens, _, _ in relevant
-        for t in cones.triangulate(gens, nx)
+        for k, _, _, _ in relevant
+        for simplex in _triangulated(src)[k]
         for run in cones.capped_runs(
-            tuple(gens[i] for i in t), nx, num, capn, rows, zero_cap=radius, cap=radius
+            src.cone_gens(simplex), nx, nums[k], capn, rows, zero_cap=radius, cap=radius
         )
     )
     for size, lo, hi, n0, step, point in runs:

@@ -10,6 +10,10 @@ Rational elimination is fraction-free: ``gauss_jordan`` (behind
 ``unit_pivot`` and ``eliminate``, keep each row as integer numerators over
 one positive row denominator (``clear_denominators``) and reduce a row by
 its gcd after each row operation; only the values returned are Fractions.
+``solve_exact`` is a cached factorization plus an integer apply: the
+elimination of [a | I] is kept per matrix a (``_factor``, a bounded
+cache), and each right-hand side b costs integer dot products of the
+transform rows with the cleared numerators of b.
 
 Normal form conventions (fixed so serialized output is deterministic):
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import NotPrimitive, ZeroVector
 
@@ -274,16 +280,38 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
 
 
 def solve_exact(a, b) -> QVec | None:
-    """One exact solution of a @ x = b (free variables set to 0), or None."""
-    ncols = len(a[0]) if a else 0
-    aug, dens = _rows([(*row, b[i]) for i, row in enumerate(a)])
-    pivots = gauss_jordan(aug, dens, ncols)
-    if any(aug[i][ncols] for i in range(len(pivots), len(a))):
+    """One exact solution of a @ x = b (free variables set to 0), or None.
+
+    The elimination depends on a alone, so it is done once per matrix
+    (``_factor``, cached) and each right-hand side costs integer dot
+    products: with T the row transform, x at a pivot column is the pivot
+    row of T times b, and the system is consistent iff the rows of T past
+    the pivots vanish on b.
+    """
+    ncols, pivots, vanish = _factor(tuple(map(tuple, a)))
+    nums, den = clear_denominators(b)
+    if any(sum(map(mul, t, nums)) for t in vanish):
         return None
     x = [Fraction(0)] * ncols
-    for ri, ci in pivots:
-        x[ci] = Fraction(aug[ri][ncols], dens[ri])
+    for ci, t, tden in pivots:
+        x[ci] = Fraction(sum(map(mul, t, nums)), tden * den)
     return tuple(x)
+
+
+@lru_cache(maxsize=4096)
+def _factor(a) -> tuple[int, tuple[tuple[int, Vec, int], ...], tuple[Vec, ...]]:
+    """gauss_jordan on [a | I]: (ncols, one (column, T row numerators, row
+    denominator) per pivot, the T rows below the pivots).  Pivots are chosen
+    in a's columns only, so they are those of the elimination of [a | b]."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    rows, dens = _rows([(*row, *(int(i == j) for j in range(nrows))) for i, row in enumerate(a)])
+    pivots = gauss_jordan(rows, dens, ncols)
+    return (
+        ncols,
+        tuple((ci, tuple(rows[ri][ncols:]), dens[ri]) for ri, ci in pivots),
+        tuple(tuple(rows[i][ncols:]) for i in range(len(pivots), nrows)),
+    )
 
 
 def _rows(rows) -> tuple[list[list[int]], list[int]]:

@@ -42,6 +42,7 @@ from toricmld.fibration import (
 )
 from toricmld.intlinalg import (
     Vec,
+    _rows,
     clear_denominators,
     content,
     det,
@@ -312,6 +313,22 @@ def unimodular_inverse(m):
             raise ValueError("matrix is not unimodular")
         out.append(tuple(int(x) for x in row))
     return tuple(out)
+
+
+def reference_solve_exact(a, b):
+    """One exact solution of a @ x = b (free variables set to 0), or None.
+
+    intlinalg.solve_exact before it cached the elimination of a: one
+    fraction-free gauss_jordan on [a | b] per call."""
+    ncols = len(a[0]) if a else 0
+    aug, dens = _rows([(*row, b[i]) for i, row in enumerate(a)])
+    pivots = gauss_jordan(aug, dens, ncols)
+    if any(aug[i][ncols] for i in range(len(pivots), len(a))):
+        return None
+    x = [Fraction(0)] * ncols
+    for ri, ci in pivots:
+        x[ci] = Fraction(aug[ri][ncols], dens[ri])
+    return tuple(x)
 
 
 def reference_is_proper(f: ToricMorphism) -> bool:
@@ -1118,7 +1135,7 @@ def reference_solve_min(p: ConeLP) -> LPStatus:
     return Optimal(value=Fraction(value), point=point, multipliers=lam, dual=y)
 
 
-def reference_solve_exact(a, b):
+def reference_solve_exact_fractions(a, b):
     """One exact solution of a @ x = b (free variables set to 0), or None."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0

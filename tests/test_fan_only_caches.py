@@ -1,0 +1,234 @@
+"""The fan-only work of each query is computed once and cached.
+
+intlinalg.solve_exact factors its matrix once (``_factor``), cones.box_points
+keeps each simplex's lattice data (``_box_lattice``, ``_residue_steps``),
+rel_trivial_witness its gluing rows per morphism (``_gluing_system``),
+relative_mld a plan per (f, tau_z) (``_relative_plan``), _lc_threshold one
+per (f, w) (``_lc_plan``), and validate_morphism is cached whole.  Every
+result must be the same with those caches cold, warm, and keyed by a
+value-equal copy of the fans and morphism; every cache must be bounded.
+"""
+
+import importlib
+import pkgutil
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import toricmld
+from helpers import (
+    a1,
+    a2,
+    ex13_r1_q2,
+    ex13_r2_q2,
+    identity_morphism,
+    outcome,
+    p1,
+    product_fan,
+    random_half_plane_fibration,
+    reference_solve_exact,
+    to_a1,
+)
+from toricmld import cones, divisors, fibration, intlinalg
+from toricmld.bounds import example_family
+from toricmld.divisors import divisor, rel_trivial_witness
+from toricmld.fans import Fan, is_cone_of
+from toricmld.fibration import (
+    ToricMorphism,
+    discriminant_divisor,
+    lc_threshold_over,
+    relative_mld,
+)
+from toricmld.singularities import _triangulated
+
+NEW_CACHES = (
+    intlinalg._factor,
+    cones._box_lattice,
+    cones._residue_steps,
+    divisors._gluing_system,
+    fibration._relative_plan,
+    fibration._lc_plan,
+    fibration.validate_morphism,
+)
+
+
+def library_caches():
+    """Every lru_cache object bound at the top level of a toricmld module."""
+    found = {}
+    for info in pkgutil.iter_modules(toricmld.__path__):
+        mod = importlib.import_module("toricmld." + info.name)
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and hasattr(obj, "cache_clear"):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def test_every_library_cache_is_bounded():
+    caches = library_caches()
+    assert set(NEW_CACHES) <= set(caches.values())
+    assert len(set(caches.values())) >= 10
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+
+
+# -- solve_exact: cached factorization against one elimination per call ------
+
+
+small = st.integers(min_value=-3, max_value=3)
+rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def matrices(draw):
+    """Square, tall and wide matrices of int or Fraction entries; a third of
+    them rank-deficient, with a row that is a combination of two others."""
+    shape = draw(st.sampled_from(["square", "tall", "wide"]))
+    ncols = draw(st.integers(1, 4))
+    nrows = {"square": ncols, "tall": ncols + draw(st.integers(1, 3)),
+             "wide": draw(st.integers(1, ncols))}[shape]
+    entry = draw(st.sampled_from([small, rationals]))
+    a = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 3 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        s, t = draw(entry), draw(entry)
+        a[k] = [s * x + t * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def right_hand_sides(a, draw):
+    """Consistent ones (a times a point) and arbitrary ones, which are
+    inconsistent whenever a has rank below its row count."""
+    ncols = len(a[0])
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            x = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+            out.append([sum(Fraction(u) * v for u, v in zip(row, x)) for row in a])
+        else:
+            out.append(draw(st.lists(rationals, min_size=len(a), max_size=len(a))))
+    return out
+
+
+def solved(solve, a, b):
+    return repr(outcome(solve, a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_solve_exact_matches_one_elimination_per_call(a, data):
+    """Many right-hand sides for one matrix take the cache-hit path; each
+    solution equals the uncached elimination's to the repr, before and
+    after the cache is cleared, and for the matrix as lists or tuples."""
+    rhs = right_hand_sides(a, data.draw)
+    intlinalg._factor.cache_clear()
+    for b in rhs:
+        ref = solved(reference_solve_exact, a, b)
+        assert solved(intlinalg.solve_exact, a, b) == ref
+        assert solved(intlinalg.solve_exact, tuple(map(tuple, a)), tuple(b)) == ref
+    assert intlinalg._factor.cache_info().hits >= 2 * len(rhs) - 1
+    intlinalg._factor.cache_clear()
+    for b in reversed(rhs):
+        assert solved(intlinalg.solve_exact, a, b) == solved(reference_solve_exact, a, b)
+
+
+def test_solve_exact_on_inconsistent_and_empty_systems():
+    a = ((1, 2), (2, 4), (0, 0))
+    assert intlinalg.solve_exact(a, (1, 2, 0)) == (Fraction(1), Fraction(0))
+    assert intlinalg.solve_exact(a, (1, 3, 0)) is None
+    assert intlinalg.solve_exact(a, (1, 2, Fraction(1, 3))) is None
+    assert intlinalg.solve_exact((), ()) == ()
+    assert intlinalg.solve_exact(((),), (0,)) == ()
+    assert intlinalg.solve_exact(((),), (1,)) is None
+
+
+# -- cold, warm and value-equal copies ---------------------------------------
+
+
+def fibrations():
+    rng = random.Random(12)
+    return [
+        to_a1(ex13_r1_q2()),
+        to_a1(ex13_r2_q2()),
+        to_a1(product_fan(p1(), product_fan(p1(), ex13_r1_q2()))),
+        example_family(1, 3).f,
+        example_family(2, 2).f,
+        identity_morphism(a2()),
+        fibration.morphism(
+            ((0, 1, 0), (0, 0, 1)), product_fan(p1(), product_fan(p1(), a1())), product_fan(p1(), a1())
+        ),
+        *(random_half_plane_fibration(rng, extra_rank=k % 2) for k in range(4)),
+    ]
+
+
+def copy_fan(f: Fan) -> Fan:
+    return Fan(f.rank, tuple(tuple(list(r)) for r in f.rays), tuple(tuple(list(c)) for c in f.max_cones))
+
+
+def copy_morphism(f: ToricMorphism) -> ToricMorphism:
+    return ToricMorphism(tuple(tuple(list(r)) for r in f.matrix), copy_fan(f.source), copy_fan(f.target))
+
+
+def target_cones(f: ToricMorphism):
+    tgt = f.target
+    faces = {(i,) for i in range(len(tgt.rays))} | set(tgt.max_cones)
+    return sorted(t for t in faces if t and is_cone_of(tgt, t))
+
+
+def queries(f: ToricMorphism, boundaries):
+    """Every cached query on f: its result, or the type and message of what it raised."""
+    out = [outcome(fibration.validate_morphism, f)]
+    src = f.source
+    for simplices in _triangulated(src):
+        for s in simplices:
+            out.append(outcome(cones.box_points, src.cone_gens(s), src.rank))
+    for coeffs in boundaries:
+        b = divisor(src, coeffs)
+        out.append(outcome(rel_trivial_witness, f, b))
+        out.append(outcome(discriminant_divisor, f, b))
+        for w in range(len(f.target.rays)):
+            out.append(outcome(lc_threshold_over, f, b, w))
+        for tau in target_cones(f):
+            out.append(outcome(relative_mld, f, b, tau, Fraction(1, 3), radius=6))
+    return out
+
+
+def boundaries_for(f: ToricMorphism, rng: random.Random):
+    src = f.source
+    top = max(abs(v[-1]) for v in src.rays) or 1
+    mu = Fraction(1, 4 * top)
+    choices = (0, Fraction(1, 2), Fraction(1, 3), 1, Fraction(-1, 2))
+    return [
+        [0] * len(src.rays),
+        [1] * len(src.rays),
+        [1 - mu * v[-1] for v in src.rays],  # trivial over A^1 for the fibrations over it
+        [rng.choice(choices) for _ in src.rays],
+    ]
+
+
+def test_queries_agree_cold_warm_and_on_copies():
+    rng = random.Random(5)
+    for f in fibrations():
+        bs = boundaries_for(f, rng)
+        for cache in NEW_CACHES:
+            cache.cache_clear()
+        cold = queries(f, bs)
+        assert fibration._relative_plan.cache_info().currsize > 0
+        warm = queries(f, bs)
+        copy = queries(copy_morphism(f), bs)
+        assert cold == warm == copy, f
+        assert fibration._relative_plan.cache_info().hits > 0
+
+
+def test_search_walks_the_cached_triangulation():
+    """The radius search takes each relevant cone's simplices from
+    _triangulated(src): the simplices cones.triangulate gives the cone's
+    generators, in the same order."""
+    for f in fibrations():
+        src = f.source
+        for tau in target_cones(f):
+            _, _, plan = fibration._relative_plan(f, tau)
+            for k, gens, _, _ in plan:
+                direct = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, src.rank)]
+                assert direct == [src.cone_gens(s) for s in _triangulated(src)[k]]

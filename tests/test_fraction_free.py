@@ -4,8 +4,8 @@ ratlp.simplex_min/solve_min, intlinalg.solve_exact and the test helper
 invert_rational (intlinalg.gauss_jordan on [m | I]) keep each row as
 integer numerators over one positive row denominator and make the pivots
 of the all-Fraction versions they replaced (tests/helpers.py keeps those
-as reference_simplex_min, reference_solve_min, reference_solve_exact and
-reference_invert_rational).
+as reference_simplex_min, reference_solve_min,
+reference_solve_exact_fractions and reference_invert_rational).
 Every result must equal the reference's to the repr: the outcome, every
 Fraction of the certificate, and the types.
 """
@@ -22,7 +22,7 @@ from helpers import (
     invert_rational,
     reference_invert_rational,
     reference_simplex_min,
-    reference_solve_exact,
+    reference_solve_exact_fractions,
     reference_solve_min,
     unimodular_inverse,
 )
@@ -121,7 +121,7 @@ def test_simplex_min_matches_on_degenerate_programs(data):
 @given(systems())
 def test_solve_exact_matches_fraction_elimination(system):
     a, b = system
-    assert outcome(solve_exact, a, b) == outcome(reference_solve_exact, a, b)
+    assert outcome(solve_exact, a, b) == outcome(reference_solve_exact_fractions, a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,7 +199,7 @@ def test_negative_pivot_and_fraction_rows():
     and Fraction rows of different denominators give the reference values."""
     a = [[Fraction(-2, 3), Fraction(1, 2), 0], [0, Fraction(-5, 7), Fraction(3, 4)], [1, 1, 1]]
     b = [Fraction(-1, 5), Fraction(2, 9), -3]
-    assert repr(solve_exact(a, b)) == repr(reference_solve_exact(a, b))
+    assert repr(solve_exact(a, b)) == repr(reference_solve_exact_fractions(a, b))
     assert solve_exact(a, b) is not None
     c = [Fraction(1, 2), Fraction(-1, 3), 1]
     assert repr(simplex_min(c, a, b)) == repr(reference_simplex_min(c, a, b))
