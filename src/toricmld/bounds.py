@@ -19,9 +19,9 @@ from .cones import box_points, contains, triangulate, values_at
 from .divisors import (
     PLFunction,
     ToricDivisor,
+    _rel_trivial_witness,
     divisor,
     log_discrepancy_function,
-    rel_trivial_witness,
     zero_divisor,
 )
 from .errors import (
@@ -40,6 +40,7 @@ from .fibration import (
     Witness,
     _discriminant_divisor,
     _lc_thresholds,
+    _relative_mld,
     average_boundary,
     check_radius,
     morphism,
@@ -166,11 +167,10 @@ def _unpack(f, b, tau_z):
     return f, b, tau_z
 
 
-def _rel_mld_check(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses) -> bool:
-    """Hypothesis gate: is the relative mld over tau_z at least eps?  Appends
-    the gate, what was measured and any witness to the report lists, and
-    returns the gate's outcome."""
-    res = relative_mld(f, b, tau_z, eps, radius=radius)
+def _rel_mld_check(res, eps, hypotheses, measurements, witnesses) -> bool:
+    """Hypothesis gate: is res, the relative mld over the base cone, at
+    least eps?  Appends the gate, what was measured and any witness to the
+    report lists, and returns the gate's outcome."""
     if isinstance(res, Exact):
         ok = res.value is not MINUS_INFINITY and res.value >= eps
         measurements.append(("relative_mld", res.value))
@@ -211,7 +211,8 @@ def verify_fano_contraction_theorem(
     bound = 1 / d
     hypotheses, witnesses, claims = [], [], []
     measurements = [("delta", d), ("multiplicity_bound", bound)]
-    hyp_ok = _rel_mld_check(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses)
+    res = relative_mld(f, b, tau_z, eps, radius=radius)
+    hyp_ok = _rel_mld_check(res, eps, hypotheses, measurements, witnesses)
     if hyp_ok:
         pulls = pullback_multiplicities(f, tau_z[0])
         mults = tuple(c for _, c in pulls)
@@ -261,10 +262,12 @@ def verify_adjunction_theorem(
     d = delta(r, eps)
     measurements = [("delta", d)]
     witnesses, claims = [], []
-    rt = rel_trivial_witness(f, b)
+    # A serves the triviality solve and the relative mld
+    a = log_discrepancy_function(f.source, b)
+    rt = _rel_trivial_witness(f, a)
     hypotheses = [("pair_trivial_over_base", rt is not None)]
     hyp_ok = rt is not None and _rel_mld_check(
-        f, b, tau_z, eps, radius, hypotheses, measurements, witnesses
+        _relative_mld(f, a, b, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
     )
     if hyp_ok:
         alpha = Fraction(1, factorial(r))
@@ -327,10 +330,12 @@ def verify_lc_complement_theorem(
     witnesses, claims = [], []
     below = all(s <= t for s, t in zip(b_toric.coeffs, b_plus.coeffs))
     hypotheses = [("boundary_below_auxiliary", below)]
-    rt = rel_trivial_witness(f, b_plus)
+    # A of (X, b_plus) serves the triviality solve and the relative mld
+    a = log_discrepancy_function(f.source, b_plus)
+    rt = _rel_trivial_witness(f, a)
     hypotheses.append(("auxiliary_trivial_over_base", rt is not None))
     hyp_ok = below and rt is not None and _rel_mld_check(
-        f, b_plus, tau_z, eps, radius, hypotheses, measurements, witnesses
+        _relative_mld(f, a, b_plus, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
     )
     if hyp_ok:
         src = f.source

@@ -85,7 +85,10 @@ class PLFunction:
 
 
 def pl_function(f: Fan, functionals) -> PLFunction:
-    functionals = tuple(tuple(Fraction(x) for x in fn) for fn in functionals)
+    # entries that are Fractions already, as solve_exact returns, are kept
+    functionals = tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in fn) for fn in functionals
+    )
     if len(functionals) != len(f.max_cones):
         raise ValidationError((("LengthMismatch", "one functional per maximal cone"),))
     # ray -> (numerator, denominator) of its value on the first maximal cone

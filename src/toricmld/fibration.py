@@ -22,9 +22,14 @@ What depends on the fans and f alone is computed once, in bounded caches:
 ``validate_morphism``, ``relative_mld``'s plan per (f, tau_z)
 (``_relative_plan``: pulled-back rows and relevant cones) and
 ``_lc_threshold``'s per (f, w) (``_lc_plan``: the cones whose image
-contains w).  The LPs and scans, which depend on the boundary, run on
+contains w).  The constraints of every LP here come from the fans and f
+alone, and only the objective, A's functional on a cone, from the
+boundary; so the plans hold their LP regions (``ratlp.cone_region``, with
+simplex phase one run), and each call runs phase two on them
+(``ratlp.minimize``).  The scans, which depend on the boundary, run on
 every call; no cache is keyed on it.  ``discriminant_divisor`` builds A
-once for the triviality solve and every threshold.
+once for the triviality solve and every threshold, and the ``verify_*``
+harnesses build it once for that solve and ``_relative_mld``.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .intlinalg import (
     vec_add,
     vec_mat,
 )
-from .ratlp import Optimal, Unbounded, cone_lp, solve_min
+from .ratlp import ConeRegion, Optimal, Unbounded, cone_region, minimize
 from .singularities import MINUS_INFINITY, _triangulated
 
 
@@ -237,10 +242,9 @@ def lc_threshold_over(f: ToricMorphism, b: ToricDivisor, w: int) -> Fraction:
 
 def _lc_threshold(f: ToricMorphism, a: PLFunction, w: int) -> Fraction:
     """lc_threshold_over for the log discrepancy function a of the pair."""
-    wv = f.target.rays[w]
     vals = []
-    for k, gens in _lc_plan(f, w):
-        res = solve_min(cone_lp(gens, f.matrix, wv, a.functionals[k]))
+    for k, region in _lc_plan(f, w):
+        res = minimize(region, a.functionals[k])
         if isinstance(res, Unbounded):
             raise NotLogCanonicalOverBase(
                 f"A is unbounded below on the fiber over ray {w}"
@@ -253,16 +257,17 @@ def _lc_threshold(f: ToricMorphism, a: PLFunction, w: int) -> Fraction:
 
 
 @lru_cache(maxsize=1024)
-def _lc_plan(f: ToricMorphism, w: int) -> tuple[tuple[int, tuple[Vec, ...]], ...]:
-    """(index, generators) of each maximal source cone whose image contains
-    the target ray w."""
+def _lc_plan(f: ToricMorphism, w: int) -> tuple[tuple[int, ConeRegion], ...]:
+    """(index, region) of each maximal source cone whose image contains the
+    target ray w: the region is the cone's fiber polyhedron over w,
+    {x in cone : M x = w}."""
     wv = f.target.rays[w]
     out = []
     for k, c in enumerate(f.source.max_cones):
         gens = f.source.cone_gens(c)
         img = tuple(u for u in (f.apply(g) for g in gens) if not is_zero(u))
         if cones.contains(img, f.target.rank, wv):
-            out.append((k, gens))
+            out.append((k, cone_region(gens, f.matrix, wv)))
     return tuple(out)
 
 
@@ -376,16 +381,19 @@ def _fold_run(found, lo, hi, n0, step, point) -> None:
 def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
     """What relative_mld needs of f and tau_z alone: the pulled-back rows
     (E M, F M), with x over relint(tau_z) iff E M x = 0 and F M x > 0 (which
-    excludes 0); the sum of the F M rows; and (index, generators, face, pc)
-    of each maximal source cone whose image meets relint(tau_z).  The face
-    spans the cone's part over tau_z, and pc, the sum of its nonzero
-    images, is a lattice point of relint(tau_z) in the cone's image."""
+    excludes 0); and (index, generators, lifted, closed) of each maximal
+    source cone whose image meets relint(tau_z).  The face spanning the
+    cone's part over tau_z has pc, the sum of its nonzero images, a lattice
+    point of relint(tau_z) in the cone's image.  lifted is the LP region
+    {x in cone : M x = pc}, and closed the region {x in face : u0 x = 1},
+    u0 the sum of the F M rows."""
     if not is_cone_of(f.target, tau_z):
         raise NotACone(f"{tau_z} is not a cone of the target fan")
     src, nz = f.source, f.target.rank
     tgens = f.target.cone_gens(tau_z)
     teq, tineq = cones.hrep(tgens, nz)
     eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
+    u0_src = tuple(map(sum, zip(*ineq_src)))
     plan = []
     for k, c in enumerate(src.max_cones):
         gens = src.cone_gens(c)
@@ -400,8 +408,10 @@ def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
         pc = cones.relint_point(img)
         if is_zero(pc) or not cones.relint_contains(tgens, nz, pc):
             continue
-        plan.append((k, gens, face, pc))
-    return (eq_src, ineq_src), tuple(map(sum, zip(*ineq_src))), tuple(plan)
+        lifted = cone_region(gens, f.matrix, pc)
+        closed = cone_region(face, (u0_src,), (1,))
+        plan.append((k, gens, lifted, closed))
+    return (eq_src, ineq_src), tuple(plan)
 
 
 def relative_mld(
@@ -420,32 +430,48 @@ def relative_mld(
     """
     check_radius(radius)
     eps = Fraction(eps)
+    tau_z = _base_cone(f, tau_z)
+    return _relative_mld(f, log_discrepancy_function(f.source, b), b, tau_z, eps, radius)
+
+
+def _base_cone(f: ToricMorphism, tau_z) -> tuple[int, ...]:
+    """tau_z as sorted ray indices, checked to be a cone of dimension >= 1
+    of the target (by building, or finding, its plan)."""
     tau_z = tuple(sorted(set(int(i) for i in tau_z)))
     if not tau_z:
         raise DomainError("the base cone must have dimension >= 1")
-    rows, u0_src, plan = _relative_plan(f, tau_z)
+    _relative_plan(f, tau_z)
+    return tau_z
+
+
+def _relative_mld(
+    f: ToricMorphism, a: PLFunction, b: ToricDivisor, tau_z, eps, radius: int
+) -> RelMldResult:
+    """relative_mld for the log discrepancy function a of the pair, with
+    eps a Fraction and the radius checked, so that a caller which needs A
+    for something else too builds it once."""
+    rows, plan = _relative_plan(f, _base_cone(f, tau_z))
     src, nx = f.source, f.source.rank
-    a = log_discrepancy_function(src, b)
     den, nums = a.integral()
 
     # each planned cone with a lifted lattice witness over relint(tau_z)
     relevant = []
     best = None
-    for k, gens, face, pc in plan:
+    for k, _, lifted, closed in plan:
         fn = a.functionals[k]
-        res = solve_min(cone_lp(gens, f.matrix, pc, fn))
+        res = minimize(lifted, fn)
         assert isinstance(res, (Optimal, Unbounded))
         if isinstance(res, Unbounded):
             # recession in the fiber direction with negative A; anchor the
             # descent at a lattice point over relint(tau_z)
             d = primitive(scale_to_integer(res.direction))
-            feas = solve_min(cone_lp(gens, f.matrix, pc, (0,) * nx))
+            feas = minimize(lifted, (0,) * nx)
             assert isinstance(feas, Optimal)
             v0 = scale_to_integer(feas.point)
             return Exact(MINUS_INFINITY, _descend(a, v0, d))
         v0 = primitive(scale_to_integer(res.point))
-        val0 = a(v0)
-        relevant.append((k, fn, face, v0))
+        val0 = Fraction(dot(nums[k], v0), den)  # v0 lies in cone k, where A is fn
+        relevant.append((k, fn, closed, v0))
         if best is None or (val0, _norm_key(v0)) < best[:2]:
             best = (val0, _norm_key(v0), v0)
     if not relevant:
@@ -468,8 +494,8 @@ def relative_mld(
 
     # closed-region lower bound, one LP per relevant cone
     lower = None
-    for _, fn, face, v0 in relevant:
-        res = solve_min(cone_lp(face, (u0_src,), (1,), fn))
+    for _, fn, closed, v0 in relevant:
+        res = minimize(closed, fn)
         if isinstance(res, Unbounded):
             d = primitive(scale_to_integer(res.direction))
             return Exact(MINUS_INFINITY, _descend(a, v0, d))

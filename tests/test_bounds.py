@@ -230,7 +230,8 @@ class TestSearchGate:
         f = identity_morphism(src)
         b = divisor(src, [1 if r == (0, 1) else 0 for r in src.rays])
         hypotheses, measurements, witnesses = [], [], []
-        ok = _rel_mld_check(f, b, (0, 1), Fraction(1, 2), 3, hypotheses, measurements, witnesses)
+        res = relative_mld(f, b, (0, 1), Fraction(1, 2), radius=3)
+        ok = _rel_mld_check(res, Fraction(1, 2), hypotheses, measurements, witnesses)
         assert ok is False
         assert hypotheses == [("relative_mld_at_least_eps", False)]
         assert measurements == [("relative_mld_search_budget_exhausted_after", 2)]

@@ -6,7 +6,13 @@ rel_trivial_witness its gluing rows per morphism (``_gluing_system``),
 relative_mld a plan per (f, tau_z) (``_relative_plan``), _lc_threshold one
 per (f, w) (``_lc_plan``), and validate_morphism is cached whole.  Every
 result must be the same with those caches cold, warm, and keyed by a
-value-equal copy of the fans and morphism; every cache must be bounded.
+value-equal copy of the fans and morphism, the verify harnesses' too,
+which hand relative_mld the A they built.  The two plans hold their LP
+regions (ratlp.cone_region, simplex phase one run once), and every
+boundary minimizes over the same regions: relative_mld and
+lc_threshold_over must agree with LPs solved from scratch on every call,
+and the regions must come out of every query unchanged.  Every cache must
+be bounded.
 """
 
 import importlib
@@ -28,12 +34,18 @@ from helpers import (
     p1,
     product_fan,
     random_half_plane_fibration,
+    reference_relative_mld,
     reference_solve_exact,
     to_a1,
 )
 from toricmld import cones, divisors, fibration, intlinalg
-from toricmld.bounds import example_family
-from toricmld.divisors import divisor, rel_trivial_witness
+from toricmld.bounds import (
+    example_family,
+    verify_adjunction_theorem,
+    verify_lc_complement_theorem,
+)
+from toricmld.divisors import divisor, log_discrepancy_function, rel_trivial_witness
+from toricmld.errors import NoCone, NotLogCanonicalOverBase
 from toricmld.fans import Fan, is_cone_of
 from toricmld.fibration import (
     ToricMorphism,
@@ -41,6 +53,8 @@ from toricmld.fibration import (
     lc_threshold_over,
     relative_mld,
 )
+from toricmld.intlinalg import is_zero
+from toricmld.ratlp import ConeRegion, Unbounded, cone_lp, solve_min
 from toricmld.singularities import _triangulated
 
 NEW_CACHES = (
@@ -176,10 +190,14 @@ def target_cones(f: ToricMorphism):
     return sorted(t for t in faces if t and is_cone_of(tgt, t))
 
 
+EPS = Fraction(1, 3)
+
+
 def queries(f: ToricMorphism, boundaries):
     """Every cached query on f: its result, or the type and message of what it raised."""
     out = [outcome(fibration.validate_morphism, f)]
     src = f.source
+    zero = divisor(src, [0] * len(src.rays))
     for simplices in _triangulated(src):
         for s in simplices:
             out.append(outcome(cones.box_points, src.cone_gens(s), src.rank))
@@ -189,9 +207,47 @@ def queries(f: ToricMorphism, boundaries):
         out.append(outcome(discriminant_divisor, f, b))
         for w in range(len(f.target.rays)):
             out.append(outcome(lc_threshold_over, f, b, w))
+            out.append(outcome(verify_lc_complement_theorem, f, zero, b, (w,), EPS, radius=6))
         for tau in target_cones(f):
-            out.append(outcome(relative_mld, f, b, tau, Fraction(1, 3), radius=6))
+            out.append(outcome(relative_mld, f, b, tau, EPS, radius=6))
+            out.append(outcome(verify_adjunction_theorem, f, b, tau, EPS, radius=6))
     return out
+
+
+def fresh_lc_threshold(f: ToricMorphism, b, w: int):
+    """lc_threshold_over with one LP solved from scratch per cone."""
+    a = log_discrepancy_function(f.source, b)
+    wv = f.target.rays[w]
+    vals = []
+    for fn, c in zip(a.functionals, f.source.max_cones):
+        gens = f.source.cone_gens(c)
+        img = tuple(u for u in map(f.apply, gens) if not is_zero(u))
+        if cones.contains(img, f.target.rank, wv):
+            res = solve_min(cone_lp(gens, f.matrix, wv, fn))
+            if isinstance(res, Unbounded):
+                raise NotLogCanonicalOverBase(f"A is unbounded below on the fiber over ray {w}")
+            vals.append(res.value)
+    if not vals:
+        raise NoCone(f"no maximal cone maps onto the ray {w}")
+    return min(vals)
+
+
+def thresholds_and_mlds(f: ToricMorphism, boundaries, lct, rel):
+    """lct at every target ray and rel over every target cone, for each boundary."""
+    out = []
+    for coeffs in boundaries:
+        b = divisor(f.source, coeffs)
+        out += [outcome(lct, f, b, w) for w in range(len(f.target.rays))]
+        out += [outcome(rel, f, b, tau, EPS, radius=6) for tau in target_cones(f)]
+    return out
+
+
+def plan_regions(f: ToricMorphism):
+    """repr of every LP region the plans of f hold."""
+    plans = [fibration._lc_plan(f, w) for w in range(len(f.target.rays))]
+    plans += [fibration._relative_plan(f, tau)[1] for tau in target_cones(f)]
+    regions = [r for plan in plans for entry in plan for r in entry if isinstance(r, ConeRegion)]
+    return [repr(r) for r in regions]
 
 
 def boundaries_for(f: ToricMorphism, rng: random.Random):
@@ -204,6 +260,7 @@ def boundaries_for(f: ToricMorphism, rng: random.Random):
         [1] * len(src.rays),
         [1 - mu * v[-1] for v in src.rays],  # trivial over A^1 for the fibrations over it
         [rng.choice(choices) for _ in src.rays],
+        [Fraction(3, 2) * (i % 2) for i in range(len(src.rays))],  # A < 0 on some rays
     ]
 
 
@@ -215,10 +272,29 @@ def test_queries_agree_cold_warm_and_on_copies():
             cache.cache_clear()
         cold = queries(f, bs)
         assert fibration._relative_plan.cache_info().currsize > 0
+        regions = plan_regions(f)
+        assert regions
         warm = queries(f, bs)
         copy = queries(copy_morphism(f), bs)
         assert cold == warm == copy, f
         assert fibration._relative_plan.cache_info().hits > 0
+        assert fibration._lc_plan.cache_info().hits > 0
+        assert plan_regions(f) == regions
+        assert plan_regions(copy_morphism(f)) == regions
+
+
+def test_plan_regions_match_lps_solved_from_scratch():
+    """lc_threshold_over and relative_mld over the plans' regions, run
+    with the plans warm from other boundaries, equal the results of LPs
+    built and solved on every call (relative_mld's reference also cuts its
+    regions by the double description)."""
+    rng = random.Random(5)
+    for f in fibrations():
+        bs = boundaries_for(f, rng)
+        queries(f, bs[::-1])
+        planned = thresholds_and_mlds(f, bs, lc_threshold_over, relative_mld)
+        fresh = thresholds_and_mlds(f, bs, fresh_lc_threshold, reference_relative_mld)
+        assert planned == fresh, f
 
 
 def test_search_walks_the_cached_triangulation():
@@ -228,7 +304,7 @@ def test_search_walks_the_cached_triangulation():
     for f in fibrations():
         src = f.source
         for tau in target_cones(f):
-            _, _, plan = fibration._relative_plan(f, tau)
-            for k, gens, _, _ in plan:
+            _, plan = fibration._relative_plan(f, tau)
+            for k, gens, *_ in plan:
                 direct = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, src.rank)]
                 assert direct == [src.cone_gens(s) for s in _triangulated(src)[k]]

@@ -1,13 +1,15 @@
 """Differential properties of the fraction-free exact elimination.
 
-ratlp.simplex_min/solve_min, intlinalg.solve_exact and the test helper
-invert_rational (intlinalg.gauss_jordan on [m | I]) keep each row as
-integer numerators over one positive row denominator and make the pivots
-of the all-Fraction versions they replaced (tests/helpers.py keeps those
-as reference_simplex_min, reference_solve_min,
+ratlp.simplex_min/solve_min/minimize, intlinalg.solve_exact and the test
+helper invert_rational (intlinalg.gauss_jordan on [m | I]) keep each row
+as integer numerators over one positive row denominator and make the
+pivots of the all-Fraction versions they replaced (tests/helpers.py keeps
+those as reference_simplex_min, reference_solve_min,
 reference_solve_exact_fractions and reference_invert_rational).
 Every result must equal the reference's to the repr: the outcome, every
-Fraction of the certificate, and the types.
+Fraction of the certificate, and the types.  That holds too when one
+ratlp.cone_region, phase one run once, is minimized under many objectives
+in turn.
 """
 
 import random
@@ -26,8 +28,18 @@ from helpers import (
     reference_solve_min,
     unimodular_inverse,
 )
+from toricmld.errors import MalformedProgram
 from toricmld.intlinalg import identity, mat_mul, solve_exact
-from toricmld.ratlp import Infeasible, Optimal, Unbounded, cone_lp, simplex_min, solve_min
+from toricmld.ratlp import (
+    Infeasible,
+    Optimal,
+    Unbounded,
+    cone_lp,
+    cone_region,
+    minimize,
+    simplex_min,
+    solve_min,
+)
 
 small = st.integers(min_value=-3, max_value=3)
 # ints and Fractions with denominators up to 6, so rows need different
@@ -90,6 +102,62 @@ def programs(draw):
 @given(programs())
 def test_solve_min_matches_fraction_simplex(p):
     assert outcome(solve_min, p) == outcome(reference_solve_min, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs(), st.data())
+def test_one_region_serves_every_objective(p, data):
+    """One region is minimized under several objectives, interleaved, each
+    asked twice; every result equals a solve from scratch by the reference.
+    Phase two must leave the region's tableau as it found it."""
+    region = cone_region(p.generators, p.eq_matrix, p.rhs)
+    before = repr(region)
+    dim = len(p.objective)
+    objectives = [p.objective, (0,) * dim]
+    objectives += data.draw(st.lists(st.lists(rationals, min_size=dim, max_size=dim), max_size=3))
+    objectives.append([-x for x in objectives[-1]])
+    order = data.draw(st.permutations(list(range(len(objectives))) * 2))
+    for i in order:
+        q = cone_lp(p.generators, p.eq_matrix, p.rhs, objectives[i])
+        assert outcome(minimize, region, objectives[i]) == outcome(reference_solve_min, q)
+    assert repr(region) == before
+
+
+def test_region_reuse_meets_every_outcome():
+    """Over fixed random programs, each region minimized under five
+    objectives in turn: empty regions, unbounded objectives and optima all
+    occur often, on regions that also gave another outcome before."""
+    rng = random.Random(2025)
+    kinds = Counter()
+    for _ in range(400):
+        p = _random_program(rng)
+        region = cone_region(p.generators, p.eq_matrix, p.rhs)
+        seen = set()
+        for _ in range(5):
+            c = [rng.choice([0, 1, -1, Fraction(1, 3), Fraction(-5, 4)]) for _ in p.objective]
+            res = minimize(region, c)
+            q = cone_lp(p.generators, p.eq_matrix, p.rhs, c)
+            assert repr(res) == repr(reference_solve_min(q))
+            kinds[type(res)] += 1
+            seen.add(type(res))
+        kinds["both_optimal_and_unbounded"] += seen == {Optimal, Unbounded}
+    assert kinds[Infeasible] >= 100
+    assert kinds[Unbounded] >= 100
+    assert kinds[Optimal] >= 100
+    assert kinds["both_optimal_and_unbounded"] >= 30
+
+
+def test_region_shape_checks():
+    with pytest.raises(MalformedProgram):
+        cone_region([], [], [])
+    with pytest.raises(MalformedProgram):
+        cone_region([(1, 0), (1,)], [], [])
+    with pytest.raises(MalformedProgram):
+        cone_region([(0, 0)], [], [])
+    with pytest.raises(MalformedProgram):
+        cone_region([(1, 0)], [(1, 0)], [])
+    with pytest.raises(MalformedProgram):
+        minimize(cone_region([(1, 0)], [], []), [1])
 
 
 @settings(max_examples=200, deadline=None)
