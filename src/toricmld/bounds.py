@@ -15,13 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .cones import box_points, contains, triangulate, values_at
+from . import singularities
+from .cones import box_points, contains, values_at
 from .divisors import (
     PLFunction,
     ToricDivisor,
-    _rel_trivial_witness,
     divisor,
     log_discrepancy_function,
+    rel_trivial_witness,
     zero_divisor,
 )
 from .errors import (
@@ -38,11 +39,10 @@ from .fibration import (
     Indeterminate,
     ToricMorphism,
     Witness,
-    _discriminant_divisor,
-    _lc_thresholds,
-    _relative_mld,
     average_boundary,
     check_radius,
+    discriminant_divisor,
+    lc_thresholds,
     morphism,
     pullback_multiplicities,
     relative_mld,
@@ -221,13 +221,11 @@ def verify_fano_contraction_theorem(
         claims.append(("multiplicities_at_most_inverse_delta", all(c <= bound for c in mults)))
         target = f.target
         try:
-            log_discrepancy_function(target, zero_divisor(target))
-            q_gor = True
-        except NotQCartier:
-            q_gor = False
-        measurements.append(("base_q_gorenstein", q_gor))
-        if q_gor:
             rep = mld_at_cone(target, zero_divisor(target), tau_z)
+        except NotQCartier:
+            rep = None
+        measurements.append(("base_q_gorenstein", rep is not None))
+        if rep is not None:
             measurements.append(("base_mld", rep.value))
             ok = rep.value is not MINUS_INFINITY and rep.value >= d
             claims.append(("base_mld_at_least_delta", ok))
@@ -262,20 +260,16 @@ def verify_adjunction_theorem(
     d = delta(r, eps)
     measurements = [("delta", d)]
     witnesses, claims = [], []
-    # A serves the triviality solve and the relative mld
-    a = log_discrepancy_function(f.source, b)
-    rt = _rel_trivial_witness(f, a)
+    rt = rel_trivial_witness(f, b)
     hypotheses = [("pair_trivial_over_base", rt is not None)]
     hyp_ok = rt is not None and _rel_mld_check(
-        _relative_mld(f, a, b, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
+        relative_mld(f, b, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
     )
     if hyp_ok:
         alpha = Fraction(1, factorial(r))
         gamma = average_boundary(b, f.source, alpha)
         measurements.append(("alpha", alpha))
-        # A(gamma) serves the triviality solve and every threshold below
-        a_gamma = log_discrepancy_function(f.source, gamma)
-        disc = _discriminant_divisor(f, a_gamma)
+        disc = discriminant_divisor(f, gamma)
         measurements.append(("base_boundary", disc.divisor.coeffs))
         rep = mld_at_cone(f.target, disc.divisor, tau_z)
         measurements.append(("base_mld", rep.value))
@@ -289,7 +283,7 @@ def verify_adjunction_theorem(
             # triviality over the base is inherited by refinements, so only the
             # per-ray thresholds need recomputing on the finer fan
             lifted = ToricMorphism(matrix=f.matrix, source=f.source, target=sub)
-            disc2 = divisor(sub, [1 - t for t in _lc_thresholds(lifted, a_gamma)])
+            disc2 = divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])
             idx = sub.rays.index(p)
             rep2 = mld_at_cone(sub, disc2, (idx,))
             label = "probe_" + ",".join(str(x) for x in p)
@@ -330,12 +324,10 @@ def verify_lc_complement_theorem(
     witnesses, claims = [], []
     below = all(s <= t for s, t in zip(b_toric.coeffs, b_plus.coeffs))
     hypotheses = [("boundary_below_auxiliary", below)]
-    # A of (X, b_plus) serves the triviality solve and the relative mld
-    a = log_discrepancy_function(f.source, b_plus)
-    rt = _rel_trivial_witness(f, a)
+    rt = rel_trivial_witness(f, b_plus)
     hypotheses.append(("auxiliary_trivial_over_base", rt is not None))
     hyp_ok = below and rt is not None and _rel_mld_check(
-        _relative_mld(f, a, b_plus, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
+        relative_mld(f, b_plus, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
     )
     if hyp_ok:
         src = f.source
@@ -369,16 +361,16 @@ def _fiber_cones_minimum(f: ToricMorphism, a: PLFunction, w: Vec):
     den, nums = a.integral()
     worst = None
     worst_at = None
-    for c, m in zip(src.max_cones, nums):
+    for c, m, simplices in zip(src.max_cones, nums, singularities._triangulated(src)):
         gens = src.cone_gens(c)
         imgs = tuple(f.apply(g) for g in gens)
         imgs = tuple(g for g in imgs if not is_zero(g))
         if not contains(imgs, f.target.rank, w):
             continue
         points = list(gens)
-        for simplex in triangulate(gens, src.rank):
+        for simplex in simplices:
             # the first box point is the only zero one
-            points.extend(box_points(tuple(gens[i] for i in simplex), src.rank)[1:])
+            points.extend(box_points(src.cone_gens(simplex), src.rank)[1:])
         vals = values_at(m, points)
         least = min(vals, default=None)
         if least is not None and (worst is None or least < worst):

@@ -4,10 +4,11 @@ A divisor is one exact rational coefficient per ray.  All discrepancy data
 is carried by the PL function A with A(ray v_i) = 1 - b_i; the canonical
 divisor itself is never materialized.
 
-``rel_trivial_witness`` builds the rows of its gluing system once per
-morphism (``_gluing_system``, a bounded cache); each call builds the
-right-hand side from A, solves, and re-verifies the witness in integers.
-A is never cached.  ``_rel_trivial_witness`` takes A already built.
+``log_discrepancy_function`` is cached per (fan, divisor), so every query
+on one pair shares one A.  ``rel_trivial_witness`` builds the rows of its
+gluing system once per morphism (``_gluing_system``, a bounded cache); each
+call builds the right-hand side from A, solves, and re-verifies the witness
+in integers.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def pl_function(f: Fan, functionals) -> PLFunction:
 def support_function(f: Fan, ray_values) -> PLFunction | None:
     """The PL function with prescribed ray values, or None when some maximal
     cone admits no linear functional with those values."""
-    ray_values = tuple(Fraction(x) for x in ray_values)
+    ray_values = tuple(x if type(x) is Fraction else Fraction(x) for x in ray_values)
     functionals = []
     for c in f.max_cones:
         gens = f.cone_gens(c)
@@ -119,8 +120,10 @@ def support_function(f: Fan, ray_values) -> PLFunction | None:
     return pl_function(f, functionals)
 
 
+@lru_cache(maxsize=1024)
 def log_discrepancy_function(f: Fan, b: ToricDivisor) -> PLFunction:
-    """The PL function A with A(v_i) = 1 - b_i; exists iff K+B is R-Cartier."""
+    """The PL function A with A(v_i) = 1 - b_i; exists iff K+B is R-Cartier.
+    Cached: the key is value-equal and the PLFunction immutable."""
     a = support_function(f, tuple(1 - c for c in b.coeffs))
     if a is None:
         raise NotQCartier("no linear functional interpolates 1 - b on some cone")
@@ -146,16 +149,11 @@ def rel_trivial_witness(f, b: ToricDivisor) -> RelTrivialWitness | None:
     f is a toric morphism (matrix, source, target).  The unknowns are a
     global functional m on the source lattice and one functional per
     maximal target cone, glued PL; constraints are the ray values of A and
-    agreement of the gluing at shared target rays.
+    agreement of the gluing at shared target rays.  The system's rows come
+    from ``_gluing_system(f)``, its right-hand side (A at each source cone's
+    generators, then 0 per gluing row) from A.
     """
-    return _rel_trivial_witness(f, log_discrepancy_function(f.source, b))
-
-
-def _rel_trivial_witness(f, a: PLFunction) -> RelTrivialWitness | None:
-    """rel_trivial_witness for the log discrepancy function a of the pair:
-    the system's rows come from ``_gluing_system(f)``, its right-hand side
-    (A at each source cone's generators, then 0 per gluing row) from a."""
-    den, nums = a.integral()
+    den, nums = log_discrepancy_function(f.source, b).integral()
     rows, cone_rays, nglue = _gluing_system(f)
     nx, nz = f.source.rank, f.target.rank
     rhs = [Fraction(dot(num, g), den) for num, rays in zip(nums, cone_rays) for g, _, _ in rays]

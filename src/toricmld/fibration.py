@@ -21,15 +21,13 @@ along their walls up to the preimage's boundary hyperplanes, the argument
 What depends on the fans and f alone is computed once, in bounded caches:
 ``validate_morphism``, ``relative_mld``'s plan per (f, tau_z)
 (``_relative_plan``: pulled-back rows and relevant cones) and
-``_lc_threshold``'s per (f, w) (``_lc_plan``: the cones whose image
+``lc_threshold_over``'s per (f, w) (``_lc_plan``: the cones whose image
 contains w).  The constraints of every LP here come from the fans and f
 alone, and only the objective, A's functional on a cone, from the
 boundary; so the plans hold their LP regions (``ratlp.cone_region``, with
 simplex phase one run), and each call runs phase two on them
-(``ratlp.minimize``).  The scans, which depend on the boundary, run on
-every call; no cache is keyed on it.  ``discriminant_divisor`` builds A
-once for the triviality solve and every threshold, and the ``verify_*``
-harnesses build it once for that solve and ``_relative_mld``.
+(``ratlp.minimize``).  The only cache keyed on the boundary is A's own
+(``divisors.log_discrepancy_function``); the scans run on every call.
 """
 
 from __future__ import annotations
@@ -40,13 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cones
-from .divisors import (
-    PLFunction,
-    ToricDivisor,
-    _rel_trivial_witness,
-    divisor,
-    log_discrepancy_function,
-)
+from .divisors import ToricDivisor, divisor, log_discrepancy_function, rel_trivial_witness
 from .errors import (
     DomainError,
     NoCone,
@@ -237,11 +229,7 @@ def pullback_multiplicities(f: ToricMorphism, w: int) -> tuple[tuple[Vec, int], 
 def lc_threshold_over(f: ToricMorphism, b: ToricDivisor, w: int) -> Fraction:
     """Largest t with (X, B + t f*D_w) log canonical over the generic point
     of D_w: the minimum of A over the fiber polytope {x in |fan|, phi(x) = w}."""
-    return _lc_threshold(f, log_discrepancy_function(f.source, b), w)
-
-
-def _lc_threshold(f: ToricMorphism, a: PLFunction, w: int) -> Fraction:
-    """lc_threshold_over for the log discrepancy function a of the pair."""
+    a = log_discrepancy_function(f.source, b)
     vals = []
     for k, region in _lc_plan(f, w):
         res = minimize(region, a.functionals[k])
@@ -272,12 +260,8 @@ def _lc_plan(f: ToricMorphism, w: int) -> tuple[tuple[int, ConeRegion], ...]:
 
 
 def lc_thresholds(f: ToricMorphism, b: ToricDivisor) -> tuple[Fraction, ...]:
-    """lc_threshold_over at every target ray, in ray order, building A once."""
-    return _lc_thresholds(f, log_discrepancy_function(f.source, b))
-
-
-def _lc_thresholds(f: ToricMorphism, a: PLFunction) -> tuple[Fraction, ...]:
-    return tuple(_lc_threshold(f, a, w) for w in range(len(f.target.rays)))
+    """lc_threshold_over at every target ray, in ray order."""
+    return tuple(lc_threshold_over(f, b, w) for w in range(len(f.target.rays)))
 
 
 @dataclass(frozen=True)
@@ -290,15 +274,9 @@ class DiscriminantResult:
 def discriminant_divisor(f: ToricMorphism, b: ToricDivisor) -> DiscriminantResult:
     """Divisorial part of adjunction on the base: coefficient 1 - t_w at
     each target ray; the moduli part is zero for equivariant data."""
-    return _discriminant_divisor(f, log_discrepancy_function(f.source, b))
-
-
-def _discriminant_divisor(f: ToricMorphism, a: PLFunction) -> DiscriminantResult:
-    """discriminant_divisor for the log discrepancy function a of the pair,
-    which serves both the triviality solve and every threshold."""
-    if _rel_trivial_witness(f, a) is None:
+    if rel_trivial_witness(f, b) is None:
         raise NotRelTrivial("K+B is not trivial over the base")
-    ts = _lc_thresholds(f, a)
+    ts = lc_thresholds(f, b)
     return DiscriminantResult(
         divisor=divisor(f.target, [1 - t for t in ts]),
         thresholds=ts,
@@ -430,27 +408,11 @@ def relative_mld(
     """
     check_radius(radius)
     eps = Fraction(eps)
-    tau_z = _base_cone(f, tau_z)
-    return _relative_mld(f, log_discrepancy_function(f.source, b), b, tau_z, eps, radius)
-
-
-def _base_cone(f: ToricMorphism, tau_z) -> tuple[int, ...]:
-    """tau_z as sorted ray indices, checked to be a cone of dimension >= 1
-    of the target (by building, or finding, its plan)."""
     tau_z = tuple(sorted(set(int(i) for i in tau_z)))
     if not tau_z:
         raise DomainError("the base cone must have dimension >= 1")
-    _relative_plan(f, tau_z)
-    return tau_z
-
-
-def _relative_mld(
-    f: ToricMorphism, a: PLFunction, b: ToricDivisor, tau_z, eps, radius: int
-) -> RelMldResult:
-    """relative_mld for the log discrepancy function a of the pair, with
-    eps a Fraction and the radius checked, so that a caller which needs A
-    for something else too builds it once."""
-    rows, plan = _relative_plan(f, _base_cone(f, tau_z))
+    rows, plan = _relative_plan(f, tau_z)  # NotACone comes before A's NotQCartier
+    a = log_discrepancy_function(f.source, b)
     src, nx = f.source, f.source.rank
     den, nums = a.integral()
 

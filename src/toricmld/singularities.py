@@ -194,22 +194,6 @@ def is_eps_lc(f: Fan, b: ToricDivisor, eps: Fraction) -> bool:
     return report.value >= Fraction(eps)
 
 
-def certified_search_radius(f: Fan, b: ToricDivisor, cap: Fraction) -> int:
-    """A sup-norm radius R with {A <= cap} ∩ |fan| inside the R-ball;
-    requires A positive at every ray."""
-    a = log_discrepancy_function(f, b)
-    radius = 0
-    for c, fn, simplices in zip(f.max_cones, a.functionals, _triangulated(f)):
-        for simplex in simplices:
-            gens = f.cone_gens(simplex)
-            vals = [Fraction(dot(fn, g)) for g in gens]
-            if any(v <= 0 for v in vals):
-                raise DomainError("radius certificate needs positive ray values")
-            bound = sum((Fraction(cap) / v) * max(abs(x) for x in g) for v, g in zip(vals, gens))
-            radius = max(radius, int(bound) + 1)
-    return radius
-
-
 def brute_force_mld_in_ball(f: Fan, b: ToricDivisor, radius: int) -> tuple:
     """Reference minimization of A over all nonzero support points with
     sup-norm <= radius (test oracle)."""

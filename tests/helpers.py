@@ -748,6 +748,22 @@ def reference_sublevel_points(f: Fan, a, cap: Fraction):
                 yield x, Fraction(dot(fn, x))
 
 
+def certified_search_radius(f: Fan, b: ToricDivisor, cap: Fraction) -> int:
+    """A sup-norm radius R with {A <= cap} ∩ |fan| inside the R-ball;
+    requires A positive at every ray."""
+    a = log_discrepancy_function(f, b)
+    radius = 0
+    for fn, simplices in zip(a.functionals, _triangulated(f)):
+        for simplex in simplices:
+            gens = f.cone_gens(simplex)
+            vals = [Fraction(dot(fn, g)) for g in gens]
+            if any(v <= 0 for v in vals):
+                raise DomainError("radius certificate needs positive ray values")
+            bound = sum((Fraction(cap) / v) * max(abs(x) for x in g) for v, g in zip(vals, gens))
+            radius = max(radius, int(bound) + 1)
+    return radius
+
+
 def reference_global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     if not f.max_cones or not f.rays:
         raise DomainError("the fan has no rays to take discrepancies along")

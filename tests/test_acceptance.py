@@ -12,6 +12,7 @@ from itertools import combinations
 
 from helpers import (
     a1,
+    certified_search_radius,
     ex13_r1_q2,
     p1,
     p2,
@@ -41,7 +42,6 @@ from toricmld.mfs import extremal_log_discrepancies, factor_mfs, q_vector
 from toricmld.singularities import (
     MINUS_INFINITY,
     brute_force_mld_in_ball,
-    certified_search_radius,
     global_mld,
     is_eps_lc,
     log_discrepancy,

@@ -3,12 +3,13 @@
 intlinalg.solve_exact factors its matrix once (``_factor``), cones.box_points
 keeps each simplex's lattice data (``_box_lattice``, ``_residue_steps``),
 rel_trivial_witness its gluing rows per morphism (``_gluing_system``),
-relative_mld a plan per (f, tau_z) (``_relative_plan``), _lc_threshold one
-per (f, w) (``_lc_plan``), and validate_morphism is cached whole.  Every
-result must be the same with those caches cold, warm, and keyed by a
-value-equal copy of the fans and morphism, the verify harnesses' too,
-which hand relative_mld the A they built.  The two plans hold their LP
-regions (ratlp.cone_region, simplex phase one run once), and every
+relative_mld a plan per (f, tau_z) (``_relative_plan``), lc_threshold_over
+one per (f, w) (``_lc_plan``), and validate_morphism is cached whole, as is
+log_discrepancy_function per (fan, divisor).  Every result must be the same
+with those caches cold, warm, and keyed by a value-equal copy of the fans
+and morphism, the verify harnesses' too, and each harness builds A once
+per pair it evaluates.  The two plans hold their LP regions
+(ratlp.cone_region, simplex phase one run once), and every
 boundary minimizes over the same regions: relative_mld and
 lc_threshold_over must agree with LPs solved from scratch on every call,
 and the regions must come out of every query unchanged.  Every cache must
@@ -19,6 +20,7 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,11 +48,13 @@ from toricmld.bounds import (
 )
 from toricmld.divisors import divisor, log_discrepancy_function, rel_trivial_witness
 from toricmld.errors import NoCone, NotLogCanonicalOverBase
-from toricmld.fans import Fan, is_cone_of
+from toricmld.fans import Fan, is_cone_of, star_subdivision
 from toricmld.fibration import (
     ToricMorphism,
+    average_boundary,
     discriminant_divisor,
     lc_threshold_over,
+    lc_thresholds,
     relative_mld,
 )
 from toricmld.intlinalg import is_zero
@@ -65,6 +69,7 @@ NEW_CACHES = (
     fibration._relative_plan,
     fibration._lc_plan,
     fibration.validate_morphism,
+    divisors.log_discrepancy_function,
 )
 
 
@@ -308,3 +313,37 @@ def test_search_walks_the_cached_triangulation():
             for k, gens, *_ in plan:
                 direct = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, src.rank)]
                 assert direct == [src.cone_gens(s) for s in _triangulated(src)[k]]
+
+
+def test_verify_adjunction_builds_a_once_per_pair():
+    """The harness chains the triviality solve, the relative mld, the
+    discriminant and each probe's thresholds and mld; A is built once per
+    distinct (fan, divisor) pair among them.  With r = 1 (P^1 x P^1 x A^1
+    over P^1 x A^1) the averaged boundary equals B, so four pairs remain;
+    with r = 2, five."""
+    for rank in (3, 4):
+        src = product_fan(p1(), a1())
+        for _ in range(rank - 2):
+            src = product_fan(p1(), src)
+        tgt = product_fan(p1(), a1())
+        matrix = ((0,) * (rank - 2) + (1, 0), (0,) * (rank - 2) + (0, 1))
+        f = fibration.morphism(matrix, src, tgt)
+        b = divisor(src, [1 if any(r[:-2]) else 0 for r in src.rays])
+        tau = (tgt.rays.index((0, 1)),)
+        probes = ((1, 1), (-1, 2))
+        log_discrepancy_function.cache_clear()
+        rep = verify_adjunction_theorem(f, b, tau, eps=1, probes=probes)
+        misses = log_discrepancy_function.cache_info().misses
+        assert rep.status == "pass"
+        assert len(rep.claims) == 1 + len(probes)
+
+        gamma = average_boundary(b, src, Fraction(1, factorial(rank - 2)))
+        disc = discriminant_divisor(f, gamma).divisor
+        assert dict(rep.measurements)["base_boundary"] == disc.coeffs
+        pairs = {(src, b), (src, gamma), (tgt, disc)}
+        for p in probes:
+            sub = star_subdivision(tgt, p)
+            lifted = ToricMorphism(f.matrix, src, sub)
+            pairs.add((sub, divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])))
+        assert len(pairs) == rank + 1
+        assert misses == len(pairs)

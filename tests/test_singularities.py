@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     a2,
     blowup_p2,
+    certified_search_radius,
     ex13_r1_q2,
     p2,
     p112,
@@ -22,7 +23,6 @@ from toricmld.fans import Fan
 from toricmld.singularities import (
     MINUS_INFINITY,
     brute_force_mld_in_ball,
-    certified_search_radius,
     global_mld,
     is_eps_lc,
     log_discrepancy,
