@@ -2,6 +2,14 @@
 the extremal family of fibrations built from it, and harnesses that check
 the bound's claims on concrete instances.
 
+The three verify_* harnesses share one gate.  A prologue raises, in this
+order, on a negative radius, a missing b or tau_z, a tau_z that is not the
+ray a harness needs, relative dimension 0 and eps outside (0, 1].  The
+hypotheses are then checked in order; the last, that the relative mld over
+tau_z is at least eps, runs only when the earlier ones hold.  Claims are
+asserted only when every hypothesis holds, so a report whose hypotheses
+fail asserts nothing and records why.
+
 The family's i-th ray uses the i-th coordinate axis.  Putting every ray on
 the first axis would leave the fiber rays in a closed half-space, so the
 generic fiber fan could not be complete and the projection could not be
@@ -127,12 +135,8 @@ def example_family(r: int, q: int) -> FamilyInstance:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one harness run.
-
-    Claims are asserted only when every hypothesis gate holds; a report
-    whose hypotheses fail asserts nothing and records why.  All flags come
-    from exact rational comparisons.
-    """
+    """Outcome of one harness run; every flag comes from an exact rational
+    comparison."""
 
     hypotheses: tuple[tuple[str, bool], ...]
     claims: tuple[tuple[str, bool], ...]
@@ -154,23 +158,36 @@ class VerificationReport:
         return "pass" if self.passed else "fail"
 
 
-def _unpack(f, b, tau_z):
+def _start(f, b, tau_z, eps, radius, ray: str | None = None):
+    """The harnesses' shared prologue; `ray`, when given, says why tau_z must
+    be a ray.  A family instance stands for its morphism, with its zero
+    divisor and first base ray unless b and tau_z are given.  Returns f, b,
+    tau_z, eps, the relative dimension r and delta(r, eps)."""
+    check_radius(radius)
     if isinstance(f, FamilyInstance):
-        inst = f
-        if b is None:
-            b = zero_divisor(inst.x)
-        if tau_z is None:
-            tau_z = (0,)
-        return inst.f, b, tau_z
-    if b is None or tau_z is None:
+        b = zero_divisor(f.x) if b is None else b
+        tau_z = (0,) if tau_z is None else tau_z
+        f = f.f
+    elif b is None or tau_z is None:
         raise DomainError("b and tau_z are required unless a family instance is given")
-    return f, b, tau_z
+    eps = Fraction(eps)
+    if ray is not None and len(tau_z) != 1:
+        raise DomainError(ray)
+    r = validate_morphism(f).relative_dimension
+    if r < 1:
+        raise DomainError("the fibration must have positive relative dimension")
+    return f, b, tau_z, eps, r, delta(r, eps)
 
 
-def _rel_mld_check(res, eps, hypotheses, measurements, witnesses) -> bool:
-    """Hypothesis gate: is res, the relative mld over the base cone, at
-    least eps?  Appends the gate, what was measured and any witness to the
-    report lists, and returns the gate's outcome."""
+def _rel_mld_gate(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses) -> bool:
+    """The last hypothesis gate: is the relative mld of (f, b) over tau_z
+    at least eps?  Runs relative_mld only when every earlier hypothesis
+    holds, then appends the gate, what was measured and any witness to the
+    report lists.  Returns whether every hypothesis holds."""
+    if not all(ok for _, ok in hypotheses):
+        return False
+    res = relative_mld(f, b, tau_z, eps, radius=radius)
+    ok = False
     if isinstance(res, Exact):
         ok = res.value is not MINUS_INFINITY and res.value >= eps
         measurements.append(("relative_mld", res.value))
@@ -179,18 +196,25 @@ def _rel_mld_check(res, eps, hypotheses, measurements, witnesses) -> bool:
         ok = res.bound >= eps
         measurements.append(("relative_mld_lower_bound", res.bound))
     elif isinstance(res, Witness):
-        ok = False
         measurements.append(("relative_mld_upper_bound", res.value))
         witnesses.append(("relative_mld_witness", res.v))
     elif isinstance(res, BudgetExhausted):
-        ok = False
         measurements.append(("relative_mld_search_budget_exhausted_after", res.searched))
     else:
         assert isinstance(res, Indeterminate)
-        ok = False
         measurements.append(("relative_mld_search_radius", res.radius))
     hypotheses.append(("relative_mld_at_least_eps", ok))
     return ok
+
+
+def _mld_claim(label, rep, d, claims, measurements, witnesses=None) -> None:
+    """Record the claim that rep, an mld report, is at least d, with rep's
+    witness when a witnesses list is given."""
+    measurements.append((label + "_mld", rep.value))
+    ok = rep.value is not MINUS_INFINITY and rep.value >= d
+    claims.append((label + "_mld_at_least_delta", ok))
+    if witnesses is not None and rep.witness is not None:
+        witnesses.append((label + "_mld_witness", rep.witness))
 
 
 def verify_fano_contraction_theorem(
@@ -200,20 +224,13 @@ def verify_fano_contraction_theorem(
     at most 1/delta(r, eps) over the given base ray, and that the base
     itself is delta(r, eps)-lc there when its canonical class allows the
     comparison."""
-    check_radius(radius)
-    f, b, tau_z = _unpack(f, b, tau_z)
-    eps = Fraction(eps)
-    if len(tau_z) != 1:
-        raise DomainError("multiplicities are read off over a ray of the base")
-    diag = validate_morphism(f)
-    r = diag.relative_dimension
-    d = delta(r, eps)
+    f, b, tau_z, eps, _, d = _start(
+        f, b, tau_z, eps, radius, "multiplicities are read off over a ray of the base"
+    )
     bound = 1 / d
     hypotheses, witnesses, claims = [], [], []
     measurements = [("delta", d), ("multiplicity_bound", bound)]
-    res = relative_mld(f, b, tau_z, eps, radius=radius)
-    hyp_ok = _rel_mld_check(res, eps, hypotheses, measurements, witnesses)
-    if hyp_ok:
+    if _rel_mld_gate(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses):
         pulls = pullback_multiplicities(f, tau_z[0])
         mults = tuple(c for _, c in pulls)
         measurements.append(("multiplicities", mults))
@@ -226,17 +243,8 @@ def verify_fano_contraction_theorem(
             rep = None
         measurements.append(("base_q_gorenstein", rep is not None))
         if rep is not None:
-            measurements.append(("base_mld", rep.value))
-            ok = rep.value is not MINUS_INFINITY and rep.value >= d
-            claims.append(("base_mld_at_least_delta", ok))
-            if rep.witness is not None:
-                witnesses.append(("base_mld_witness", rep.witness))
-    return VerificationReport(
-        hypotheses=tuple(hypotheses),
-        claims=tuple(claims),
-        measurements=tuple(measurements),
-        witnesses=tuple(witnesses),
-    )
+            _mld_claim("base", rep, d, claims, measurements, witnesses)
+    return VerificationReport(*map(tuple, (hypotheses, claims, measurements, witnesses)))
 
 
 def verify_adjunction_theorem(
@@ -250,33 +258,18 @@ def verify_adjunction_theorem(
     """Check that after averaging the boundary with the full invariant
     boundary at weight 1/r!, the induced base pair is delta(r, eps)-lc at
     tau_z, and at any probed exceptional rays over the base."""
-    check_radius(radius)
-    f, b, tau_z = _unpack(f, b, tau_z)
-    eps = Fraction(eps)
-    diag = validate_morphism(f)
-    r = diag.relative_dimension
-    if r < 1:
-        raise DomainError("the fibration must have positive relative dimension")
-    d = delta(r, eps)
+    f, b, tau_z, eps, r, d = _start(f, b, tau_z, eps, radius)
     measurements = [("delta", d)]
     witnesses, claims = [], []
-    rt = rel_trivial_witness(f, b)
-    hypotheses = [("pair_trivial_over_base", rt is not None)]
-    hyp_ok = rt is not None and _rel_mld_check(
-        relative_mld(f, b, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
-    )
-    if hyp_ok:
+    hypotheses = [("pair_trivial_over_base", rel_trivial_witness(f, b) is not None)]
+    if _rel_mld_gate(f, b, tau_z, eps, radius, hypotheses, measurements, witnesses):
         alpha = Fraction(1, factorial(r))
         gamma = average_boundary(b, f.source, alpha)
         measurements.append(("alpha", alpha))
         disc = discriminant_divisor(f, gamma)
         measurements.append(("base_boundary", disc.divisor.coeffs))
         rep = mld_at_cone(f.target, disc.divisor, tau_z)
-        measurements.append(("base_mld", rep.value))
-        ok = rep.value is not MINUS_INFINITY and rep.value >= d
-        claims.append(("base_mld_at_least_delta", ok))
-        if rep.witness is not None:
-            witnesses.append(("base_mld_witness", rep.witness))
+        _mld_claim("base", rep, d, claims, measurements, witnesses)
         for p in probes:
             p = tuple(int(x) for x in p)
             sub = star_subdivision(f.target, p)
@@ -284,18 +277,9 @@ def verify_adjunction_theorem(
             # per-ray thresholds need recomputing on the finer fan
             lifted = ToricMorphism(matrix=f.matrix, source=f.source, target=sub)
             disc2 = divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])
-            idx = sub.rays.index(p)
-            rep2 = mld_at_cone(sub, disc2, (idx,))
-            label = "probe_" + ",".join(str(x) for x in p)
-            measurements.append((label + "_mld", rep2.value))
-            ok2 = rep2.value is not MINUS_INFINITY and rep2.value >= d
-            claims.append((label + "_mld_at_least_delta", ok2))
-    return VerificationReport(
-        hypotheses=tuple(hypotheses),
-        claims=tuple(claims),
-        measurements=tuple(measurements),
-        witnesses=tuple(witnesses),
-    )
+            rep2 = mld_at_cone(sub, disc2, (sub.rays.index(p),))
+            _mld_claim("probe_" + ",".join(str(x) for x in p), rep2, d, claims, measurements)
+    return VerificationReport(*map(tuple, (hypotheses, claims, measurements, witnesses)))
 
 
 def verify_lc_complement_theorem(
@@ -308,28 +292,19 @@ def verify_lc_complement_theorem(
 ) -> VerificationReport:
     """Check that adding delta(r, eps) times the fiber over the base ray
     to the smaller boundary keeps log discrepancies nonnegative on every
-    cone whose image contains that ray."""
-    check_radius(radius)
-    if isinstance(f, FamilyInstance):
-        f = f.f
-    eps = Fraction(eps)
-    if len(tau_z) != 1:
-        raise DomainError("the fiber is taken over a ray of the base")
-    diag = validate_morphism(f)
-    r = diag.relative_dimension
-    if r < 1:
-        raise DomainError("the fibration must have positive relative dimension")
-    d = delta(r, eps)
+    cone whose image contains that ray.  The auxiliary boundary b_plus
+    carries the hypotheses that B carries in the other harnesses."""
+    f, b_plus, tau_z, eps, _, d = _start(
+        f, b_plus, tau_z, eps, radius, "the fiber is taken over a ray of the base"
+    )
     measurements = [("delta", d)]
     witnesses, claims = [], []
     below = all(s <= t for s, t in zip(b_toric.coeffs, b_plus.coeffs))
-    hypotheses = [("boundary_below_auxiliary", below)]
-    rt = rel_trivial_witness(f, b_plus)
-    hypotheses.append(("auxiliary_trivial_over_base", rt is not None))
-    hyp_ok = below and rt is not None and _rel_mld_check(
-        relative_mld(f, b_plus, tau_z, eps, radius), eps, hypotheses, measurements, witnesses
-    )
-    if hyp_ok:
+    hypotheses = [
+        ("boundary_below_auxiliary", below),
+        ("auxiliary_trivial_over_base", rel_trivial_witness(f, b_plus) is not None),
+    ]
+    if _rel_mld_gate(f, b_plus, tau_z, eps, radius, hypotheses, measurements, witnesses):
         src = f.source
         w = f.target.rays[tau_z[0]]
         pulls = dict(pullback_multiplicities(f, tau_z[0]))
@@ -343,12 +318,7 @@ def verify_lc_complement_theorem(
         measurements.append(("minimum_log_discrepancy_found", worst))
         if worst_at is not None:
             witnesses.append(("minimum_at", worst_at))
-    return VerificationReport(
-        hypotheses=tuple(hypotheses),
-        claims=tuple(claims),
-        measurements=tuple(measurements),
-        witnesses=tuple(witnesses),
-    )
+    return VerificationReport(*map(tuple, (hypotheses, claims, measurements, witnesses)))
 
 
 def _fiber_cones_minimum(f: ToricMorphism, a: PLFunction, w: Vec):

@@ -271,18 +271,16 @@ def cmd_example_family(args):
     return "ok", payload, None, 0
 
 
-def _report_payload(rep) -> dict:
-    return {
+def _verify_reply(rep):
+    """The reply of every verify-* command; exit code 2 when a claim fails."""
+    payload = {
         "status": rep.status,
         "passed": rep.passed,
-        "hypotheses": {name: ok for name, ok in rep.hypotheses},
-        "claims": {name: ok for name, ok in rep.claims},
-        "measurements": {name: val for name, val in rep.measurements},
+        "hypotheses": dict(rep.hypotheses),
+        "claims": dict(rep.claims),
+        "measurements": dict(rep.measurements),
     }
-
-
-def _verify_exit(rep) -> int:
-    return 0 if rep.passed else 2
+    return rep.status, payload, dict(rep.witnesses), 0 if rep.passed else 2
 
 
 def cmd_verify_fano(args):
@@ -291,8 +289,7 @@ def cmd_verify_fano(args):
     rep = verify_fano_contraction_theorem(
         f, b, _int_list(args.cone, _CONE_ERROR), parse_rat(args.eps), radius=args.radius
     )
-    wit = {name: val for name, val in rep.witnesses}
-    return rep.status, _report_payload(rep), wit, _verify_exit(rep)
+    return _verify_reply(rep)
 
 
 def cmd_verify_adjunction(args):
@@ -307,8 +304,7 @@ def cmd_verify_adjunction(args):
         probes=probes,
         radius=args.radius,
     )
-    wit = {name: val for name, val in rep.witnesses}
-    return rep.status, _report_payload(rep), wit, _verify_exit(rep)
+    return _verify_reply(rep)
 
 
 def cmd_verify_lc(args):
@@ -318,8 +314,7 @@ def cmd_verify_lc(args):
     rep = verify_lc_complement_theorem(
         f, b, plus, _int_list(args.cone, _CONE_ERROR), parse_rat(args.eps), radius=args.radius
     )
-    wit = {name: val for name, val in rep.witnesses}
-    return rep.status, _report_payload(rep), wit, _verify_exit(rep)
+    return _verify_reply(rep)
 
 
 def cmd_tightness_scan(args):

@@ -5,7 +5,7 @@ import pytest
 from helpers import a1, a2, identity_morphism, p1, p2, product_fan, to_a1
 from toricmld import fibration
 from toricmld.bounds import (
-    _rel_mld_check,
+    _rel_mld_gate,
     FamilyInstance,
     VerificationReport,
     delta,
@@ -230,8 +230,7 @@ class TestSearchGate:
         f = identity_morphism(src)
         b = divisor(src, [1 if r == (0, 1) else 0 for r in src.rays])
         hypotheses, measurements, witnesses = [], [], []
-        res = relative_mld(f, b, (0, 1), Fraction(1, 2), radius=3)
-        ok = _rel_mld_check(res, Fraction(1, 2), hypotheses, measurements, witnesses)
+        ok = _rel_mld_gate(f, b, (0, 1), Fraction(1, 2), 3, hypotheses, measurements, witnesses)
         assert ok is False
         assert hypotheses == [("relative_mld_at_least_eps", False)]
         assert measurements == [("relative_mld_search_budget_exhausted_after", 2)]
