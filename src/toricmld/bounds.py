@@ -36,10 +36,11 @@ from .divisors import (
 from .errors import (
     ConstructionInvariantFailure,
     DomainError,
+    NotACone,
     NotQCartier,
     ValidationError,
 )
-from .fans import Fan, fan, star_subdivision
+from .fans import Fan, fan, is_cone_of, star_subdivision
 from .fibration import (
     BudgetExhausted,
     CertifiedAtLeast,
@@ -160,9 +161,10 @@ class VerificationReport:
 
 def _start(f, b, tau_z, eps, radius, ray: str | None = None):
     """The harnesses' shared prologue; `ray`, when given, says why tau_z must
-    be a ray.  A family instance stands for its morphism, with its zero
-    divisor and first base ray unless b and tau_z are given.  Returns f, b,
-    tau_z, eps, the relative dimension r and delta(r, eps)."""
+    be a ray, and tau_z must be a cone of the target.  A family instance
+    stands for its morphism, with its zero divisor and first base ray unless
+    b and tau_z are given.  Returns f, b, tau_z, eps, the relative dimension
+    r and delta(r, eps)."""
     check_radius(radius)
     if isinstance(f, FamilyInstance):
         b = zero_divisor(f.x) if b is None else b
@@ -176,6 +178,8 @@ def _start(f, b, tau_z, eps, radius, ray: str | None = None):
     r = validate_morphism(f).relative_dimension
     if r < 1:
         raise DomainError("the fibration must have positive relative dimension")
+    if not is_cone_of(f.target, tau_z):
+        raise NotACone(f"{tau_z} is not a cone of the target fan")
     return f, b, tau_z, eps, r, delta(r, eps)
 
 

@@ -31,23 +31,33 @@ max, exact division by N by each coordinate column's remainders, and one
 distinct point per coset by the size of the point set.  ``values_at``
 evaluates a functional over the points' coordinate columns in the same way.
 What depends on the simplex alone (the rank check, the generator matrix in
-its span lattice, |det|, the Smith form's residue steps) is cached per
-simplex in bounded caches (``_box_lattice``, ``_residue_steps``), O(d^2)
-integers each; the residues, the points and the checks are made on every
-call.
+its span lattice, |det|, the Smith form's residue steps) is
+cached per simplex in bounded caches (``_box_lattice``,
+``_residue_steps``), O(d^2) integers each; the residues, the points and the
+checks are made on every call.
+
+``box_runs`` scans the box points under a cap on a linear functional
+without building the box: on an LLL-reduced basis of the lattice, the 2d + 1
+rows (box and cap) are eliminated once by Fourier–Motzkin and the points are
+lifted one coordinate at a time, the last coordinate one run at a time.
+``box_minimum`` keeps the least (value, sup-norm, x) key over those runs and
+lowers the cap to each better value; the simplex's span basis, V and
+|det V| come from ``_box_lattice``, and s adj V is taken per call.
 
 ``capped_runs`` is the one enumerator of the other lattice points of a
 simplicial cone (box points plus multiples of the generators, under a cap on
-a linear functional); every lattice-point scan uses it or ``box_points``.
-It walks one run at a time: all coefficients but the last are fixed, so the
-capped functional and each row of an H-representation (E x = 0, F x > 0)
-are arithmetic progressions in the last one, and floor division gives the
-interval of points that pass them all (``progression_interval``).  Callers
-count a run by its size and build a point only when it can be the answer.
+a linear functional); every other lattice-point scan uses it or
+``box_points``.  It walks one run at a time: all coefficients but the last
+are fixed, so the capped functional and each row of an H-representation
+(E x = 0, F x > 0) are arithmetic progressions in the last one, and floor
+division gives the interval of points that pass them all
+(``progression_interval``).  Callers count a run by its size and build a
+point only when it can be the answer.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, partial
 from itertools import combinations, product, repeat
 from operator import add, floordiv, mod, mul
@@ -56,11 +66,13 @@ from .errors import NotACone
 from .intlinalg import (
     Mat,
     Vec,
+    adjugate,
     det,
     dot,
     identity,
     is_zero,
     kernel_basis,
+    lll_reduce,
     minor_normal,
     primitive,
     rank,
@@ -242,8 +254,11 @@ def triangulate(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[int, ...], ...]:
     """Index tuples of simplicial subcones covering a pointed cone(gens).
 
     Placing triangulation pulling at the lexicographically smallest
-    generator; only existing generators are used.
+    generator; only existing generators are used.  Independent generators
+    span a simplicial cone, which is its own triangulation.
     """
+    if rank(gens) == len(gens):
+        return (tuple(range(len(gens))),)
     if not is_pointed(gens, dim):
         raise NotACone("cannot triangulate a cone containing a line")
 
@@ -261,8 +276,6 @@ def triangulate(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[int, ...], ...]:
                     out.append(tuple(sorted(s + (apex,))))
         return out
 
-    if not gens:
-        return ((),)
     return tuple(sorted(set(go(tuple(range(len(gens)))))))
 
 
@@ -280,14 +293,25 @@ def barycentric(gens: tuple[Vec, ...], x):
 
 
 @lru_cache(maxsize=4096)
-def _box_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[Mat, int]:
-    """(V, |det V|) for independent gens: V's columns are the generators in a
-    basis of the saturated lattice of their span."""
-    if rank(gens) != len(gens):
+def _box_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[Mat, Mat, int]:
+    """(basis, V, |det V|) for independent gens: basis is a basis (rows) of
+    the saturated lattice of their span and V's columns are the generators
+    in it."""
+    full = len(gens) == dim  # then the basis is Z^dim's and det V decides independence
+    if not full and rank(gens) != len(gens):
         raise NotACone("parallelepiped needs independent generators")
-    basis = span_lattice_basis(gens, dim)
-    vmat = transpose(tuple(span_coordinates(basis, g) for g in gens))
-    return vmat, abs(det(vmat))
+    basis = identity(dim) if full else span_lattice_basis(gens, dim)
+    vmat = transpose(gens if full else tuple(span_coordinates(basis, g) for g in gens))
+    dv = det(vmat)
+    if dv == 0:
+        raise NotACone("parallelepiped needs independent generators")
+    return basis, vmat, abs(dv)
+
+
+def box_size(gens: tuple[Vec, ...], dim: int) -> int:
+    """The number of lattice points of the half-open parallelepiped spanned
+    by independent gens (|det V|, 1 for no generators), zero included."""
+    return _box_lattice(tuple(map(tuple, gens)), dim)[2] if gens else 1
 
 
 @lru_cache(maxsize=4096)
@@ -358,7 +382,7 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     """
     if not gens:
         return ((0,) * dim,)
-    vmat, index = _box_lattice(tuple(map(tuple, gens)), dim)
+    _, vmat, index = _box_lattice(tuple(map(tuple, gens)), dim)
     n, residues = _box_residues(vmat)
     if any(min(col) < 0 or max(col) >= n for col in residues):
         raise AssertionError("box point fell outside the half-open box")
@@ -373,6 +397,143 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     if len(set(points)) != index:
         raise AssertionError("parallelepiped enumeration lost coset representatives")
     return points
+
+
+def _eliminate(rows, d: int):
+    """Fourier–Motzkin elimination of the last d - 1 variables of rows
+    (a, beta, gamma, mask), each a·v <= beta + gamma·cap.  Returns the rows
+    left with a = 0, as (beta, gamma), and, per variable k, the rows
+    bounding v_k once v_0..v_(k-1) are fixed, as (a_k, (a_0..a_(k-1)),
+    beta, gamma).  A row combined from more than t + 1 original rows (mask)
+    after t eliminations is implied by the others and dropped (Chernikov's
+    rule); the rule holds for every cap, which stays a parameter."""
+    levels = [()] * d
+    for k in range(d - 1, 0, -1):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        levels[k] = tuple((a[k], a[:k], beta, gamma) for a, beta, gamma, _ in pos + neg)
+        rows = {r for r in rows if r[0][k] == 0}
+        limit = d - k + 1
+        for ap, bp, gp, mp in pos:
+            for an, bn, gn, mn in neg:
+                mask = mp | mn
+                if mask.bit_count() > limit:
+                    continue
+                sp, sn = -an[k], ap[k]
+                a = tuple(sp * x + sn * y for x, y in zip(ap, an))
+                beta, gamma = sp * bp + sn * bn, sp * gp + sn * gn
+                g = math.gcd(*a, beta, gamma)
+                rows.add((tuple(x // g for x in a), beta // g, gamma // g, mask))
+    levels[0] = tuple((a[0], (), beta, gamma) for a, beta, gamma, _ in rows if a[0])
+    return tuple((beta, gamma) for a, beta, gamma, _ in rows if not a[0]), levels
+
+
+def _bounds(level, v, cap):
+    """The interval of v_k allowed by one level's rows at this cap, with
+    v_0..v_(k-1) fixed to v."""
+    lo = hi = None
+    for a, pre, beta, gamma in level:
+        r = beta + gamma * cap - sum(map(mul, pre, v))
+        if a > 0:
+            t = r // a
+            hi = t if hi is None or t < hi else hi
+        else:
+            t = -(r // -a)
+            lo = t if lo is None or t > lo else lo
+    if lo is None or hi is None:
+        raise AssertionError("a level of the parallelepiped scan is unbounded")
+    return lo, hi
+
+
+def _line_point(x, step, t) -> Vec:
+    return tuple(a + t * b for a, b in zip(x, step))
+
+
+def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
+    """The nonzero lattice points x of the half-open parallelepiped
+    {Σ t_i g_i : t ∈ [0,1)} with m·x <= cap[0], one run at a time; gens
+    must be nonempty and linearly independent, and the caller may lower
+    cap[0] between runs.
+
+    In span coordinates y the points are the integer y with
+    0 <= (s adj V y)_i <= |det V| - 1 (s = sign det V) and w·y <= cap,
+    w = m in span coordinates.  The lattice s adj V Z^d, in which the box
+    is the cube [0, |det V| - 1]^d, is reduced (``lll_reduce``), so that
+    its basis vectors are short against the cube and each lifting level
+    spans few values; the 2d + 1
+    rows are eliminated once with the cap as a parameter (``_eliminate``),
+    and the coordinates are lifted one at a time, the shortest vector's
+    last, between exact floor and ceiling bounds.  Each loop runs upward
+    from the value nearest 0 and then downward, and takes its bounds again
+    when the cap has dropped.  A run fixes every coordinate but the last
+    and is yielded as (lo, hi, n0, step, point): the points point(k),
+    lo <= k <= hi, with m·x = n0 + step*k.  The run through 0 is yielded
+    as its two halves without it.
+    """
+    basis, vmat, index = _box_lattice(tuple(map(tuple, gens)), dim)
+    if index == 1:
+        return
+    sadj = adjugate(vmat)
+    if dot(vmat[0], [row[0] for row in sadj]) < 0:  # (V adj V)[0][0] = det V
+        sadj = tuple(tuple(-c for c in row) for row in sadj)
+    d = len(gens)
+    order = lll_reduce(transpose(sadj))[::-1]
+    points = [tuple(sum(map(mul, u, col)) for col in zip(*basis)) for u in order]
+    vals = [dot(m, x) for x in points]
+    rows = [(tuple(vals), 0, 1, 1)]
+    for i, srow in enumerate(sadj):
+        z = tuple(dot(srow, u) for u in order)  # (s adj V y)_i in the new coordinates
+        rows.append((tuple(-c for c in z), 0, 0, 1 << (2 * i + 1)))
+        rows.append((z, index - 1, 0, 1 << (2 * i + 2)))
+    conds, levels = _eliminate(rows, d)
+    if any(beta + gamma * cap[0] < 0 for beta, gamma in conds):
+        return
+    last = d - 1
+    step, xlast = vals[last], points[last]
+
+    def lift(k, v, x, n, zero):
+        c = cap[0]
+        lo, hi = _bounds(levels[k], v, c)
+        if k == last:
+            if zero and lo <= 0 <= hi:
+                if lo < 0:
+                    yield lo, -1, n, step, partial(_line_point, x, xlast)
+                lo = 1
+            if lo <= hi:
+                yield lo, hi, n, step, partial(_line_point, x, xlast)
+            return
+        start = min(max(0, lo), hi)
+        for inc in (1, -1):
+            t = start if inc > 0 else start - 1
+            while lo <= t <= hi:
+                yield from lift(
+                    k + 1, v + (t,), _line_point(x, points[k], t), n + t * vals[k], zero and t == 0
+                )
+                if cap[0] != c:
+                    c = cap[0]
+                    lo, hi = _bounds(levels[k], v, c)
+                t += inc
+
+    yield from lift(0, (), (0,) * dim, 0, True)
+
+
+def box_minimum(gens: tuple[Vec, ...], dim: int, m, best: tuple) -> tuple:
+    """The least key (m·x, sup-norm of x, x) among best and the nonzero
+    lattice points x of the half-open parallelepiped of independent gens
+    with m·x <= best[0].  Along a run of ``box_runs`` m·x is an arithmetic
+    progression, so only the end with the least value can be the answer,
+    unless the step is 0 and the run is scanned; the cap drops to each
+    better value found."""
+    if not gens:
+        return best
+    cap = [best[0]]
+    for lo, hi, n0, step, point in box_runs(gens, dim, m, cap):
+        for k in range(lo, hi + 1) if step == 0 else (lo if step > 0 else hi,):
+            x = point(k)
+            key = (n0 + step * k, max(map(abs, x)), x)
+            if key < best:
+                best, cap[0] = key, key[0]
+    return best
 
 
 def progression_interval(lo: int, hi: int, a: int, step: int, sense: int) -> tuple[int, int]:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import NotPrimitive, ZeroVector
+from .errors import DomainError, NotPrimitive, ZeroVector
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -181,6 +181,89 @@ def det(m: Mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(m: Mat) -> Mat:
+    """adj(m), with m @ adj(m) = det(m) I: entry (i, j) is (-1)^(i+j) times
+    the minor of m without row j and column i."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    if n == 2:
+        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * det(tuple(r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _nearest(a: int, b: int) -> int:
+    """The integer nearest a / b for b > 0, halves rounded up."""
+    return (2 * a + b) // (2 * b)
+
+
+def lll_reduce(basis) -> Mat:
+    """Integral LLL reduction (delta = 3/4) of independent integer vectors
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7):
+    the unimodular transform H, as rows, with H @ basis reduced.  Only
+    integers are used: d_k is the Gram determinant of the first k vectors
+    and lam[k][j] = d_(j+1) mu_kj."""
+    n = len(basis)
+    b = [list(v) for v in basis]
+    h = [list(row) for row in identity(n)]
+    d = [1] * (n + 1)  # d[k + 1] = Gram determinant of b[0..k]
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, j):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = _nearest(lam[k][j], d[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            h[k] = [x - q * y for x, y in zip(h[k], h[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        bk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (bk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = bk
+
+    if n:
+        d[1] = dot(b[0], b[0])
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise DomainError("LLL needs independent vectors")
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                red(k, j)
+            k += 1
+    return tuple(map(tuple, h))
 
 
 def minor_normal(rows, n: int) -> Vec:

@@ -7,18 +7,18 @@ fundamental parallelepiped, so when A is positive on the rays the minimum
 is attained among ray generators and parallelepiped points, and sublevel
 regions are finite and enumerable.
 
-Every scan walks simplices of the triangulated cones with
-``cones.capped_runs`` (lattice points under a cap, one run of the last
-generator's multiples at a time) or ``cones.box_points`` (parallelepiped
-points alone).  ``mld_at_cone`` passes the walk the H-representation of
-relint(tau), so it counts each run's points in relint(tau) by its interval
-and builds only the points that lower the minimum or first reach 0.  The
-scans compare integers: A is taken as
-integer numerators over one common denominator (``PLFunction.integral``), a
-cap becomes ``floor(cap * den)``, and a Fraction is built only for the value
-returned.  ``global_mld`` evaluates the numerators of a whole box at once,
-over its coordinate columns (``cones.values_at``), and counts every box
-point but the zero one, which each box holds exactly once, first.
+Every scan walks simplices of the triangulated cones.  ``mld_at_cone``
+walks them with ``cones.capped_runs`` (lattice points under a cap, one run
+of the last generator's multiples at a time) and passes the walk the
+H-representation of relint(tau), so it counts each run's points in
+relint(tau) by its interval and builds only the points that lower the
+minimum or first reach 0.  ``global_mld`` builds no box:
+``cones.box_minimum`` scans only the box points under the best value so
+far, and the count covers every box point but the zero one (|det V| - 1
+per simplex).  The scans compare integers: A is taken as integer
+numerators over one common denominator (``PLFunction.integral``), a cap
+becomes ``floor(cap * den)``, and a Fraction is built only for the value
+returned.
 """
 
 from __future__ import annotations
@@ -95,13 +95,9 @@ def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     )
     for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
-            points = cones.box_points(f.cone_gens(simplex), f.rank)
-            count += len(points) - 1  # every point but the zero one
-            for n, x in zip(cones.values_at(m, points), points):
-                if n <= best[0] and not is_zero(x):
-                    cand = key(n, x)
-                    if cand < best:
-                        best = cand
+            gens = f.cone_gens(simplex)
+            count += cones.box_size(gens, f.rank) - 1  # every point but the zero one
+            best = cones.box_minimum(gens, f.rank, m, best)
     return MldReport(Fraction(best[0], den), best[2], count, "exact")
 
 

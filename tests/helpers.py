@@ -212,11 +212,18 @@ def random_wps_fan(rng: random.Random, rank: int) -> Fan:
 
 def random_fan(rng: random.Random, max_rank: int = 3, subdivisions: int = 3) -> Fan:
     """A random valid simplicial fan: seed fixture, a few star subdivisions,
-    then a unimodular change of coordinates."""
+    then a unimodular change of coordinates.  Rank-4 seeds join the pool
+    when max_rank >= 4."""
     seeds2 = [p2, p112, p123, a2, blowup_p2]
     seeds3 = [p3, a3, lambda: product_fan(p2(), a1()), lambda: product_fan(p1(), a2())]
+    seeds4 = [
+        lambda: product_fan(p3(), a1()),
+        lambda: product_fan(p123(), p112()),
+        lambda: product_fan(a2(), blowup_p2()),
+    ]
     seeds1 = [p1, a1]
     pool = seeds1 + seeds2 + (seeds3 if max_rank >= 3 else [])
+    pool += seeds4 if max_rank >= 4 else []
     f = rng.choice(pool)()
     for _ in range(rng.randrange(subdivisions + 1)):
         f = star_subdivision(f, random_support_point(rng, f))
@@ -633,6 +640,32 @@ def reference_box_points_rows(gens, dim: int):
     if len(set(out)) != abs(det(vmat)):
         raise AssertionError("parallelepiped enumeration lost coset representatives")
     return tuple(out)
+
+
+def reference_triangulate(gens, dim: int):
+    """cones.triangulate without its shortcut for independent generators:
+    the pulling triangulation at the lexicographically smallest generator,
+    after the pointedness check, on every cone."""
+    if not cones.is_pointed(gens, dim):
+        raise NotACone("cannot triangulate a cone containing a line")
+
+    def go(idxs):
+        sub = tuple(gens[i] for i in idxs)
+        if len(idxs) == rank(sub):
+            return [tuple(sorted(idxs))]
+        apex = min(idxs, key=lambda i: gens[i])
+        _, ineqs = hrep(sub, dim)
+        out = []
+        for m in ineqs:
+            if dot(m, gens[apex]) > 0:
+                face = tuple(i for i in idxs if dot(m, gens[i]) == 0)
+                for s in go(face):
+                    out.append(tuple(sorted(s + (apex,))))
+        return out
+
+    if not gens:
+        return ((),)
+    return tuple(sorted(set(go(tuple(range(len(gens)))))))
 
 
 def gens_with_invariant_factors(rng: random.Random, factors, dim: int):

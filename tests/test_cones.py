@@ -10,18 +10,24 @@ from hypothesis import strategies as st
 
 from helpers import (
     capped_points,
+    cones_of,
     expand_runs,
     gens_with_invariant_factors,
+    random_fan,
     reference_box_points,
     reference_box_points_rows,
     reference_box_residues,
     reference_hrep,
+    reference_triangulate,
 )
 from toricmld import cones
 from toricmld.cones import (
     _irredundant,
     barycentric,
+    box_minimum,
     box_points,
+    box_runs,
+    box_size,
     capped_runs,
     contains,
     covered_by,
@@ -287,6 +293,108 @@ def test_box_points_repeated_factor_examples():
 
 def test_box_points_of_no_generators_is_the_origin():
     assert box_points((), 3) == ((0, 0, 0),)
+
+
+def test_triangulate_independent_generators_are_one_simplex():
+    for gens, dim in [
+        (((1, 0), (1, 2)), 2),
+        (((1, 1, 0), (1, -1, 0)), 3),
+        (((2, 0, 1),), 3),
+        ((), 3),
+    ]:
+        assert triangulate(gens, dim) == (tuple(range(len(gens))),)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_sets(dim_max=4, n_max=5))
+def test_triangulate_matches_pulling_reference(gens):
+    """The shortcut for independent generators changes no triangulation:
+    every generator set gives the pulling triangulation, or both reject a
+    cone with a line; independent generators are their own simplex."""
+    dim = len(gens[0])
+    try:
+        want = reference_triangulate(gens, dim)
+    except NotACone:
+        with pytest.raises(NotACone):
+            triangulate(gens, dim)
+        return
+    assert triangulate(gens, dim) == want
+    if rank(gens) == len(gens):
+        assert want == (tuple(range(len(gens))),)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_triangulate_matches_pulling_reference_on_random_fans(seed):
+    f = random_fan(random.Random(seed), max_rank=4, subdivisions=3)
+    for c in cones_of(f):
+        gens = f.cone_gens(c)
+        assert triangulate(gens, f.rank) == reference_triangulate(gens, f.rank)
+
+
+def scan_case(rng):
+    """Generators of rank d <= 4 with prescribed invariant factors in a span
+    of Z^dim, dim = d or d + 1, and a functional: random, or a nonnegative
+    combination of the cone's facet normals, which vanishes on some
+    generators."""
+    d = rng.randint(1, 4)
+    dim = d + rng.randint(0, 1)
+    steps = [rng.choice([1, 1, 2]) for _ in range(d - 1)] + [rng.randint(1, (60, 30, 8, 4)[d - 1])]
+    gens = gens_with_invariant_factors(rng, list(accumulate(steps, operator.mul)), dim)
+    if rng.random() < 0.5:
+        m = tuple(rng.randint(-4, 9) for _ in range(dim))
+    else:
+        eqs, ineqs = hrep(gens, dim)
+        m = (0,) * dim
+        for row in eqs + ineqs:
+            m = tuple(a + rng.randint(0, 2) * b for a, b in zip(m, row))
+    return gens, dim, m
+
+
+def box_scan_points(gens, dim: int, m, cap: int):
+    """Every point of the runs of box_runs at a fixed cap, in scan order."""
+    runs = box_runs(gens, dim, m, [cap])
+    return [point(k) for lo, hi, _, _, point in runs for k in range(lo, hi + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_box_runs_match_reference_box_points(seed):
+    """At a cap, the runs hold exactly the nonzero box points x with
+    m·x <= cap, each once, and each run's values are its progression; the
+    cap is a value some point takes, one between values, or below every
+    value.  box_minimum returns the least (value, sup-norm, x) key of
+    those points and the starting key."""
+    rng = random.Random(seed)
+    gens, dim, m = scan_case(rng)
+    ref = [x for x in reference_box_points(gens, dim) if not is_zero(x)]
+    assert box_size(gens, dim) == len(ref) + 1
+    values = sorted({dot(m, x) for x in ref})
+    cap = rng.choice(values + [min(values, default=0) - 1, 0, max(values, default=0) + 1])
+    if rng.random() < 0.2:
+        cap = rng.choice(values or [0]) - 1
+    got = box_scan_points(gens, dim, m, cap)
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(x for x in ref if dot(m, x) <= cap)
+    for lo, hi, n0, step, point in box_runs(gens, dim, m, [cap]):
+        assert lo <= hi
+        assert all(dot(m, point(k)) == n0 + step * k for k in (lo, hi))
+    start = (cap, rng.choice([0, 10**9]), (0,) * dim)
+    keys = [(dot(m, x), max(map(abs, x)), x) for x in got]
+    assert box_minimum(gens, dim, m, start) == min(keys + [start])
+
+
+def test_box_minimum_examples():
+    # the box of (1, 0), (1, 2) holds (1, 1) besides 0
+    assert box_minimum(((1, 0), (1, 2)), 2, (1, 1), (5, 9, (9, 9))) == (2, 1, (1, 1))
+    assert box_minimum(((1, 0), (1, 2)), 2, (1, 1), (1, 9, (9, 9))) == (1, 9, (9, 9))
+    # a functional vanishing on the span: every point ties at 0, and the
+    # sup-norm and then the point decide
+    gens = ((3, 0, 0), (0, 3, 0))
+    assert box_minimum(gens, 3, (0, 0, 1), (0, 9, ())) == (0, 1, (0, 1, 0))
+    assert box_minimum(gens, 3, (0, 0, 1), (-1, 9, ())) == (-1, 9, ())
+    assert box_minimum((), 2, (1, 1), (3, 1, (1, 2))) == (3, 1, (1, 2))
+    assert box_minimum(((1, 2),), 2, (1, 1), (3, 1, (1, 2))) == (3, 1, (1, 2))
 
 
 def _with_residues(monkeypatch, edit):

@@ -20,6 +20,7 @@ from helpers import (
     outcome,
     p2,
     random_fan,
+    random_gl,
     random_half_plane_fibration,
     reference_fiber_cones_minimum,
     reference_global_mld,
@@ -27,9 +28,11 @@ from helpers import (
     reference_relative_mld,
     reference_sublevel_points,
     sublevel_points,
+    twist_divisor,
+    twist_fan,
 )
 from toricmld import cones, fibration
-from toricmld.bounds import _fiber_cones_minimum, example_family
+from toricmld.bounds import _fiber_cones_minimum, example_family, u_sequence
 from toricmld.cli import main
 from toricmld.divisors import divisor, log_discrepancy_function, zero_divisor
 from toricmld.fans import fan
@@ -40,7 +43,7 @@ from toricmld.fibration import (
     relative_mld,
 )
 from toricmld.intlinalg import is_zero
-from toricmld.singularities import _triangulated, global_mld, mld_at_cone
+from toricmld.singularities import MldReport, _triangulated, global_mld, mld_at_cone
 
 
 def random_coeffs(rng, n):
@@ -146,6 +149,89 @@ def test_global_mld_of_example_family(q):
     rep = global_mld(x, b)
     assert rep.value == Fraction(q + 1, q * q + q - 1)
     same(rep, reference_global_mld(x, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_global_mld_matches_fraction_scan_up_to_rank_4(seed):
+    """The cap-first scan against the reference that builds every box
+    point, on fans of rank up to 4 whose boundaries put coefficient 1 (A
+    vanishes at the ray, so the cap can be 0) and above 1 on some rays."""
+    rng = random.Random(seed)
+    f = random_fan(rng, max_rank=4, subdivisions=2)
+    b = divisor(f, random_coeffs(rng, len(f.rays)))
+    same(global_mld(f, b), reference_global_mld(f, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_global_mld_is_invariant_under_gl_n_z(seed):
+    """The value and status do not depend on the coordinates; the witness
+    and the tie-break by sup-norm do."""
+    rng = random.Random(seed)
+    f = random_fan(rng, max_rank=4, subdivisions=2)
+    b = divisor(f, random_coeffs(rng, len(f.rays)))
+    u = random_gl(rng, f.rank)
+    rep, moved = global_mld(f, b), global_mld(twist_fan(f, u), twist_divisor(b, u))
+    assert (moved.value, moved.status) == (rep.value, rep.status)
+
+
+def closed_form(r, q):
+    """u / (q (u - 1)) with u = u_(r+1, q): the mld of example_family(r, q)
+    in every case computed so far (not proved here)."""
+    u = u_sequence(r + 1, q)
+    return Fraction(u, q * (u - 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_global_mld_closed_form_rank_3(q):
+    x = example_family(2, q).x
+    b = zero_divisor(x)
+    rep = global_mld(x, b)
+    assert (rep.value, rep.witness) == (closed_form(2, q), (0, 0, 1))
+    same(rep, reference_global_mld(x, b))
+
+
+def test_global_mld_closed_form_rank_4():
+    """example_family(3, 2): 815 860 nonzero box points are covered, not
+    built; the scan takes milliseconds where building them took seconds."""
+    x = example_family(3, 2).x
+    rep = global_mld(x, zero_divisor(x))
+    assert rep == MldReport(closed_form(3, 2), (0, 0, 0, 1), 815861, "exact")
+    assert rep.value == Fraction(903, 1805)
+
+
+@pytest.mark.parametrize("r, q", [(3, 3), (3, 4), (4, 2)])
+def test_global_mld_closed_form_beyond_the_reference(r, q):
+    """Boxes of 6.7·10^7 to 2.7·10^12 points, which no reference can build:
+    the value and witness still follow the closed form."""
+    x = example_family(r, q).x
+    rep = global_mld(x, zero_divisor(x))
+    witness = (0,) * r + (1,)
+    assert (rep.value, rep.witness, rep.status) == (closed_form(r, q), witness, "exact")
+
+
+def test_box_runs_work_on_example_family_rank_4():
+    """The scan's work follows the points under the cap, not the box: at
+    A <= 1 the runs over example_family(3, 2)'s cones hold the 31 551
+    nonzero box points there (of 815 860; the count was checked once
+    against box_points) in fewer than 200 runs, and at A <= its mld they
+    hold only points where A equals the mld."""
+    x = example_family(3, 2).x
+    b = zero_divisor(x)
+    den, nums = log_discrepancy_function(x, b).integral([1 - c for c in b.coeffs])
+    capn = closed_form(3, 2) * den
+    assert capn.denominator == 1
+    runs, points, at_mld = 0, 0, set()
+    for m, simplices in zip(nums, _triangulated(x)):
+        for simplex in simplices:
+            gens = x.cone_gens(simplex)
+            for lo, hi, _, _, _ in cones.box_runs(gens, x.rank, m, [den]):
+                runs, points = runs + 1, points + hi - lo + 1
+            for lo, hi, n0, step, _ in cones.box_runs(gens, x.rank, m, [int(capn)]):
+                at_mld.update(n0 + step * k for k in range(lo, hi + 1))
+    assert (points, at_mld) == (31551, {int(capn)})
+    assert runs < 200
 
 
 def test_neighbouring_cones_with_different_denominators():

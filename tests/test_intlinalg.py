@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricmld.errors import NotPrimitive, ZeroVector
+from toricmld.errors import DomainError, NotPrimitive, ZeroVector
 from toricmld.intlinalg import (
     det,
     hermite_normal_form,
     identity,
     is_primitive,
     kernel_basis,
+    lll_reduce,
     mat_mul,
     mat_vec,
     minor_normal,
@@ -213,3 +215,48 @@ def test_minor_normal_examples():
     assert minor_normal(((1, 0, 0), (0, 1, 0)), 3) == (0, 0, 1)
     assert minor_normal(((1, 2),), 2) == (2, -1)
     assert minor_normal(((1, 2, 3), (2, 4, 6)), 3) == (0, 0, 0)
+
+
+def gram_schmidt(basis):
+    """Fraction Gram–Schmidt: the orthogonal vectors b*_i and mu[i][j]."""
+    ortho, mu = [], [[Fraction(0)] * len(basis) for _ in basis]
+    for i, v in enumerate(basis):
+        w = [Fraction(x) for x in v]
+        for j, o in enumerate(ortho):
+            mu[i][j] = sum(a * b for a, b in zip(v, o)) / sum(a * a for a in o)
+            w = [a - mu[i][j] * b for a, b in zip(w, o)]
+        ortho.append(w)
+    return ortho, mu
+
+
+def random_basis(rng, n, dim):
+    """n independent vectors of Z^dim, often with one long, skewed vector
+    so that the reduction has work to do."""
+    while True:
+        rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(n)]
+        if rng.random() < 0.5:
+            k = rng.randint(10, 10**4)
+            rows[-1] = [a + k * b for a, b in zip(rows[-1], rows[0])]
+        rows = tuple(map(tuple, rows))
+        if rank(rows) == n:
+            return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2), st.integers(0, 10**6))
+def test_lll_reduce_is_unimodular_size_reduced_and_lovasz(n, extra, seed):
+    basis = random_basis(random.Random(seed), n, n + extra)
+    h = lll_reduce(basis)
+    assert abs(det(h)) == 1
+    reduced = mat_mul(h, basis)
+    ortho, mu = gram_schmidt(reduced)
+    norm = [sum(a * a for a in o) for o in ortho]
+    for i in range(n):
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+    for k in range(1, n):
+        assert norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]
+
+
+def test_lll_reduce_rejects_dependent_vectors():
+    with pytest.raises(DomainError):
+        lll_reduce(((1, 0, 0), (0, 1, 0), (1, 1, 0)))

@@ -31,7 +31,7 @@ from toricmld.bounds import (
     verify_lc_complement_theorem,
 )
 from toricmld.divisors import divisor, zero_divisor
-from toricmld.errors import DomainError
+from toricmld.errors import DomainError, NotACone
 from toricmld.fans import fan
 from toricmld.fibration import morphism
 from toricmld.singularities import MINUS_INFINITY
@@ -217,6 +217,7 @@ MISSING = (DomainError, "b and tau_z are required unless a family instance is gi
 FANO_RAY = (DomainError, "multiplicities are read off over a ray of the base")
 LC_RAY = (DomainError, "the fiber is taken over a ray of the base")
 REL_DIM = (DomainError, "the fibration must have positive relative dimension")
+NOT_A_CONE = (NotACone, "(5,) is not a cone of the target fan")
 
 
 def eps_error(eps):
@@ -254,12 +255,18 @@ def error_cases():
             call(f, hb, (), HALF),
             (FANO_RAY, (DomainError, "the base cone must have dimension >= 1"), LC_RAY),
         ),
+        ("tau_z not a cone", call(f, zero, (5,), HALF), (NOT_A_CONE,) * 3),
         (
             "ray before relative dimension",
             call(ident, izero, (), HALF, b_toric=izero),
             (FANO_RAY, REL_DIM, LC_RAY),
         ),
         ("relative dimension 0", call(ident, izero, (0,), HALF, b_toric=izero), (REL_DIM,) * 3),
+        (
+            "relative dimension before tau_z",
+            call(ident, izero, (5,), HALF, b_toric=izero),
+            (REL_DIM,) * 3,
+        ),
         (
             "relative dimension before eps",
             call(ident, izero, (0,), two, b_toric=izero),
@@ -276,12 +283,24 @@ CASES = error_cases()
 # Where the shared prologue changed what a harness raises: the parent's
 # fano harness left relative dimension 0 to delta, and its lc harness
 # neither required b_plus and tau_z nor checked them before the ray check.
+# Its adjunction and lc harnesses left tau_z to relative_mld in the gate,
+# so a pair not trivial over the base failed a hypothesis first.
 PARENT_ERRORS = {
     ("missing b", 2): (AttributeError, "'NoneType' object has no attribute 'coeffs'"),
     ("missing tau_z", 2): (TypeError, "object of type 'NoneType' has no len()"),
     ("missing before ray", 2): LC_RAY,
+    ("tau_z not a cone", 1): VerificationReport(
+        (("pair_trivial_over_base", False),), (), (("delta", Fraction(1, 8)),), ()
+    ),
+    ("tau_z not a cone", 2): VerificationReport(
+        (("boundary_below_auxiliary", True), ("auxiliary_trivial_over_base", False)),
+        (),
+        (("delta", Fraction(1, 8)),),
+        (),
+    ),
     ("relative dimension 0", 0): (DomainError, "r must be a positive integer, got 0"),
     ("relative dimension before eps", 0): (DomainError, "r must be a positive integer, got 0"),
+    ("relative dimension before tau_z", 0): (DomainError, "r must be a positive integer, got 0"),
 }
 
 
