@@ -4,11 +4,12 @@ the bound's claims on concrete instances.
 
 The three verify_* harnesses share one gate.  A prologue raises, in this
 order, on a negative radius, a missing b or tau_z, a tau_z that is not the
-ray a harness needs, relative dimension 0 and eps outside (0, 1].  The
-hypotheses are then checked in order; the last, that the relative mld over
-tau_z is at least eps, runs only when the earlier ones hold.  Claims are
-asserted only when every hypothesis holds, so a report whose hypotheses
-fail asserts nothing and records why.
+ray a harness needs, relative dimension 0, an empty tau_z or one that is
+not a cone of the target, and eps outside (0, 1].  The hypotheses are then
+checked in order; the last, that the relative mld over tau_z is at least
+eps, runs only when the earlier ones hold.  Claims are asserted only when
+every hypothesis holds, so a report whose hypotheses fail asserts nothing
+and records why.
 
 The family's i-th ray uses the i-th coordinate axis.  Putting every ray on
 the first axis would leave the fiber rays in a closed half-space, so the
@@ -161,10 +162,10 @@ class VerificationReport:
 
 def _start(f, b, tau_z, eps, radius, ray: str | None = None):
     """The harnesses' shared prologue; `ray`, when given, says why tau_z must
-    be a ray, and tau_z must be a cone of the target.  A family instance
-    stands for its morphism, with its zero divisor and first base ray unless
-    b and tau_z are given.  Returns f, b, tau_z, eps, the relative dimension
-    r and delta(r, eps)."""
+    be a ray, and tau_z must be a nonempty cone of the target.  A family
+    instance stands for its morphism, with its zero divisor and first base
+    ray unless b and tau_z are given.  Returns f, b, tau_z, eps, the
+    relative dimension r and delta(r, eps)."""
     check_radius(radius)
     if isinstance(f, FamilyInstance):
         b = zero_divisor(f.x) if b is None else b
@@ -178,6 +179,8 @@ def _start(f, b, tau_z, eps, radius, ray: str | None = None):
     r = validate_morphism(f).relative_dimension
     if r < 1:
         raise DomainError("the fibration must have positive relative dimension")
+    if not tau_z:
+        raise DomainError("the base cone must have dimension >= 1")
     if not is_cone_of(f.target, tau_z):
         raise NotACone(f"{tau_z} is not a cone of the target fan")
     return f, b, tau_z, eps, r, delta(r, eps)
@@ -367,8 +370,6 @@ def tightness_scan(r: int, q_list) -> tuple[ScanRow, ...]:
     against the bound 1/delta(r, 1/q); the ratio stays bounded away from 0."""
     if not isinstance(r, int) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
-    if r > 3:
-        raise DomainError("scans with r > 3 blow past desk scale; r is capped at 3")
     qs = sorted(set(int(q) for q in q_list))
     if not qs or qs[0] < 2:
         raise DomainError("each q must be an integer >= 2")

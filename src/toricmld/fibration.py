@@ -26,8 +26,14 @@ contains w).  The constraints of every LP here come from the fans and f
 alone, and only the objective, A's functional on a cone, from the
 boundary; so the plans hold their LP regions (``ratlp.cone_region``, with
 simplex phase one run), and each call runs phase two on them
-(``ratlp.minimize``).  The only cache keyed on the boundary is A's own
-(``divisors.log_discrepancy_function``); the scans run on every call.
+(``ratlp.minimize``).
+
+One pair (f, B) is asked about at many eps, and only the last step of
+``relative_mld`` reads eps or the radius.  So the work on a pair is cached
+as well: ``lc_threshold_over`` whole, per (f, B, w), and ``relative_mld``
+up to that step, per (f, B, tau_z) (``_relative_analysis``: its LPs, its
+-infinity exits and its sublevel scan).  A comes from
+``divisors.log_discrepancy_function``'s cache.
 """
 
 from __future__ import annotations
@@ -226,9 +232,11 @@ def pullback_multiplicities(f: ToricMorphism, w: int) -> tuple[tuple[Vec, int], 
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)
 def lc_threshold_over(f: ToricMorphism, b: ToricDivisor, w: int) -> Fraction:
     """Largest t with (X, B + t f*D_w) log canonical over the generic point
-    of D_w: the minimum of A over the fiber polytope {x in |fan|, phi(x) = w}."""
+    of D_w: the minimum of A over the fiber polytope {x in |fan|, phi(x) = w}.
+    A function of (f, b, w) alone, so cached; errors are raised on every call."""
     a = log_discrepancy_function(f.source, b)
     vals = []
     for k, region in _lc_plan(f, w):
@@ -392,25 +400,27 @@ def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
     return (eq_src, ineq_src), tuple(plan)
 
 
-def relative_mld(
-    f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...], eps, radius: int = 10_000
-) -> RelMldResult:
-    """Infimum of A over primitive lattice points of the support mapping
-    into relint(tau_z).
+@dataclass(frozen=True)
+class _SearchStart:
+    """What relative_mld's last step starts from when its analysis decides
+    nothing: the closed-region bound lower, A as (den, nums), the pulled-back
+    rows, the cap floor(cap * den) on A's numerators, the relevant cones'
+    indices and the seed candidate (capn, (_norm_key(wit0), wit0))."""
 
-    Positive discrepancies at every ray make the sublevel region finite and
-    the answer Exact.  Otherwise a per-cone LP over the closed region either
-    certifies the bound, detects -infinity, or hands over to a radius-capped
-    enumeration whose outcome is reported honestly.
+    lower: Fraction
+    den: int
+    nums: tuple[Vec, ...]
+    rows: tuple
+    capn: int
+    relevant: tuple[int, ...]
+    seed: tuple
 
-    f must be compatible: each cone's preimage of tau_z is then the face
-    spanned by its rays mapping into tau_z.
-    """
-    check_radius(radius)
-    eps = Fraction(eps)
-    tau_z = tuple(sorted(set(int(i) for i in tau_z)))
-    if not tau_z:
-        raise DomainError("the base cone must have dimension >= 1")
+
+@lru_cache(maxsize=1024)
+def _relative_analysis(f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...]):
+    """What relative_mld does before it reads eps or the radius, cached on
+    (f, b, tau_z): A, and either the decided result or the _SearchStart of
+    the radius search.  Errors are raised on every call, not cached."""
     rows, plan = _relative_plan(f, tau_z)  # NotACone comes before A's NotQCartier
     a = log_discrepancy_function(f.source, b)
     src, nx = f.source, f.source.rank
@@ -430,7 +440,7 @@ def relative_mld(
             feas = minimize(lifted, (0,) * nx)
             assert isinstance(feas, Optimal)
             v0 = scale_to_integer(feas.point)
-            return Exact(MINUS_INFINITY, _descend(a, v0, d))
+            return a, Exact(MINUS_INFINITY, _descend(a, v0, d))
         v0 = primitive(scale_to_integer(res.point))
         val0 = Fraction(dot(nums[k], v0), den)  # v0 lies in cone k, where A is fn
         relevant.append((k, fn, closed, v0))
@@ -440,9 +450,10 @@ def relative_mld(
         raise NoCone("no cone maps onto the chosen base cone")
     cap, _, wit0 = best
     capn = math.floor(cap * den)
+    seed = (capn, (_norm_key(wit0), wit0))
 
-    found = [(capn, (_norm_key(wit0), wit0))]
     if all(1 - coeff > 0 for coeff in b.coeffs):
+        found = [seed]
         for num, simplices in zip(nums, _triangulated(src)):
             for simplex in simplices:
                 for _, lo, hi, n0, step, point in cones.capped_runs(
@@ -451,8 +462,7 @@ def relative_mld(
                     if lo <= hi:
                         _fold_run(found, lo, hi, n0, step, point)
         value, wit = _pick_witness(found)
-        assert is_primitive(wit)
-        return Exact(Fraction(value, den), wit)
+        return a, Exact(Fraction(value, den), wit)
 
     # closed-region lower bound, one LP per relevant cone
     lower = None
@@ -460,15 +470,52 @@ def relative_mld(
         res = minimize(closed, fn)
         if isinstance(res, Unbounded):
             d = primitive(scale_to_integer(res.direction))
-            return Exact(MINUS_INFINITY, _descend(a, v0, d))
+            return a, Exact(MINUS_INFINITY, _descend(a, v0, d))
         assert isinstance(res, Optimal), "the lifted point scales into the LP region"
         if res.value < 0:
             d = primitive(scale_to_integer(res.point))
-            return Exact(MINUS_INFINITY, _descend(a, v0, d))
+            return a, Exact(MINUS_INFINITY, _descend(a, v0, d))
         if lower is None or res.value < lower:
             lower = res.value
     if cap == lower:
-        return Exact(lower, wit0)
+        return a, Exact(lower, wit0)
+    return a, _SearchStart(lower, den, nums, rows, capn, tuple(k for k, *_ in relevant), seed)
+
+
+def relative_mld(
+    f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...], eps, radius: int = 10_000
+) -> RelMldResult:
+    """Infimum of A over primitive lattice points of the support mapping
+    into relint(tau_z).
+
+    Positive discrepancies at every ray make the sublevel region finite and
+    the answer Exact.  Otherwise a per-cone LP over the closed region either
+    certifies the bound, detects -infinity, or hands over to a radius-capped
+    enumeration whose outcome is reported honestly.
+
+    None of this but the last step reads eps or the radius, so it is cached
+    on (f, b, tau_z) (``_relative_analysis``); the comparison with eps and
+    the radius-capped search run on every call, and every witness returned
+    is re-evaluated against A on the call that returns it.
+
+    f must be compatible: each cone's preimage of tau_z is then the face
+    spanned by its rays mapping into tau_z.
+    """
+    check_radius(radius)
+    eps = Fraction(eps)
+    tau_z = tuple(sorted(set(int(i) for i in tau_z)))
+    if not tau_z:
+        raise DomainError("the base cone must have dimension >= 1")
+    a, res = _relative_analysis(f, b, tau_z)
+    if isinstance(res, _SearchStart):
+        res = _radius_search(f.source, a, res, eps, radius)
+    return _checked(a, res)
+
+
+def _radius_search(src: Fan, a, start: _SearchStart, eps: Fraction, radius: int) -> RelMldResult:
+    """The last step of relative_mld: the bound start.lower against eps, and
+    below eps the radius-capped direct search from a copy of the seed."""
+    lower = start.lower
     if lower >= eps:
         return CertifiedAtLeast(lower)
 
@@ -477,13 +524,15 @@ def relative_mld(
     # its size, and only its k below the budget left are examined.  The walk
     # is not drawn past the budget, so one that ends exactly there is
     # reported as exhausted too
+    nx, nums = src.rank, start.nums
+    found = [start.seed]
     budget = _SEARCH_BUDGET
     runs = (
         run
-        for k, _, _, _ in relevant
+        for k in start.relevant
         for simplex in _triangulated(src)[k]
         for run in cones.capped_runs(
-            src.cone_gens(simplex), nx, nums[k], capn, rows, zero_cap=radius, cap=radius
+            src.cone_gens(simplex), nx, nums[k], start.capn, start.rows, zero_cap=radius, cap=radius
         )
     )
     for size, lo, hi, n0, step, point in runs:
@@ -494,7 +543,7 @@ def relative_mld(
         if budget <= 0:
             break
     value, wit = _pick_witness(found)
-    value = Fraction(value, den)
+    value = Fraction(value, start.den)
     if not is_primitive(wit):
         wit = primitive(wit)
         value = a(wit)
@@ -505,6 +554,21 @@ def relative_mld(
     if budget <= 0:
         return BudgetExhausted(radius, _SEARCH_BUDGET - budget)
     return Indeterminate(radius)
+
+
+def _checked(a, res: RelMldResult) -> RelMldResult:
+    """res, once its witness re-evaluates against A: a primitive point where
+    A takes the value, or for -infinity a point where A is negative."""
+    if isinstance(res, Exact) and res.value is MINUS_INFINITY:
+        ok = a(res.witness) < 0
+    elif isinstance(res, (Exact, Witness)):
+        wit = res.witness if isinstance(res, Exact) else res.v
+        ok = is_primitive(wit) and a(wit) == res.value
+    else:
+        return res
+    if not ok:
+        raise AssertionError("relative mld witness failed re-evaluation")
+    return res
 
 
 def _descend(a, x0: Vec, d: Vec) -> Vec:

@@ -283,6 +283,15 @@ class TestTightnessScan:
             Fraction(41, 2048),
         )
 
+    def test_rows_past_rank_three(self):
+        """The family builds and its multiplicity assert holds at r = 4 and 5;
+        no rank cap is left."""
+        got = [(r, row) for r, q in ((4, 2), (4, 3), (5, 2)) for row in tightness_scan(r, [q])]
+        assert [row.multiplicity for _, row in got] == [3_263_441, 599_882_555, 10_650_056_950_805]
+        for r, row in got:
+            assert row.inverse_delta == 1 / delta(r, Fraction(1, row.q))
+            assert row.ratio == row.multiplicity * delta(r, Fraction(1, row.q))
+
     def test_ratio_band_and_monotonicity(self):
         rows = tightness_scan(1, range(2, 13))
         ratios = [r.ratio for r in rows]
@@ -304,8 +313,6 @@ class TestTightnessScan:
     def test_domain(self):
         with pytest.raises(DomainError):
             tightness_scan(1, [1, 2])
-        with pytest.raises(DomainError):
-            tightness_scan(4, [2])
         with pytest.raises(DomainError):
             tightness_scan(0, [2])
         with pytest.raises(DomainError):

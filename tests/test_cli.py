@@ -414,9 +414,12 @@ class TestTightnessScan:
         ]
 
     def test_rank_cap(self, cli):
-        code, out = cli(["tightness-scan", "--r", "4", "--q", "2"])
-        assert code == 2
-        assert json.loads(out)["payload"]["error"] == "DomainError"
+        """r = 4, past the cap of 3 the scan once had, gives its row."""
+        code, out = cli(["tightness-scan", "--r", "4", "--q", "2", "--out", "json"])
+        assert code == 0
+        (row,) = json.loads(out)["payload"]["rows"]
+        assert (row["q"], row["multiplicity"]) == (2, 3263441)
+        assert row["ratio"] == "3263441/968232702940866945220608"
 
     def test_bad_q_list(self, cli):
         code, out = cli(["tightness-scan", "--r", "1", "--q", "2,x"])

@@ -1,4 +1,5 @@
-"""The fan-only work of each query is computed once and cached.
+"""The fan-only work of each query is computed once and cached, and so is
+the work on a pair (f, B) that reads no eps.
 
 intlinalg.solve_exact factors its matrix once (``_factor``), cones.box_points
 keeps each simplex's lattice data (``_box_lattice``, ``_residue_steps``),
@@ -12,16 +13,25 @@ per pair it evaluates.  The two plans hold their LP regions
 (ratlp.cone_region, simplex phase one run once), and every
 boundary minimizes over the same regions: relative_mld and
 lc_threshold_over must agree with LPs solved from scratch on every call,
-and the regions must come out of every query unchanged.  Every cache must
-be bounded.
+and the regions must come out of every query unchanged.
+
+On the pair, lc_threshold_over is cached whole and relative_mld up to its
+comparison with eps and its radius search (``_relative_analysis``).  Swept
+over eps, radii and search budgets with those caches warm, both must equal
+the same calls with every library cache cleared first and the references
+that cache nothing; errors keep their order and are raised on every call,
+and a witness taken from the cache is still checked against A.  Every
+cache must be bounded.
 """
 
 import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,11 +56,13 @@ from toricmld.bounds import (
     verify_adjunction_theorem,
     verify_lc_complement_theorem,
 )
-from toricmld.divisors import divisor, log_discrepancy_function, rel_trivial_witness
-from toricmld.errors import NoCone, NotLogCanonicalOverBase
-from toricmld.fans import Fan, is_cone_of, star_subdivision
+from toricmld.divisors import divisor, log_discrepancy_function, rel_trivial_witness, zero_divisor
+from toricmld.errors import DomainError, NoCone, NotACone, NotLogCanonicalOverBase, NotQCartier
+from toricmld.fans import Fan, fan, is_cone_of, star_subdivision
 from toricmld.fibration import (
+    Exact,
     ToricMorphism,
+    Witness,
     average_boundary,
     discriminant_divisor,
     lc_threshold_over,
@@ -59,7 +71,7 @@ from toricmld.fibration import (
 )
 from toricmld.intlinalg import is_zero
 from toricmld.ratlp import ConeRegion, Unbounded, cone_lp, solve_min
-from toricmld.singularities import _triangulated
+from toricmld.singularities import MINUS_INFINITY, _triangulated
 
 NEW_CACHES = (
     intlinalg._factor,
@@ -70,6 +82,8 @@ NEW_CACHES = (
     fibration._lc_plan,
     fibration.validate_morphism,
     divisors.log_discrepancy_function,
+    fibration._relative_analysis,
+    fibration.lc_threshold_over,
 )
 
 
@@ -347,3 +361,164 @@ def test_verify_adjunction_builds_a_once_per_pair():
             pairs.add((sub, divisor(sub, [1 - t for t in lc_thresholds(lifted, gamma)])))
         assert len(pairs) == rank + 1
         assert misses == len(pairs)
+
+
+# -- caches on the pair (f, B) -------------------------------------------------
+
+HALF = Fraction(1, 2)
+PAIR_EPS = (Fraction(1, 6), HALF, 1)
+RADII = ({"radius": 0}, {"radius": 6}, {})  # {} takes the default radius
+BUDGET = 3000  # _SEARCH_BUDGET in the sweep, so the default radius stays fast
+
+
+def pair_fibrations():
+    rng = random.Random(33)  # its boundaries reach every outcome below
+    return [
+        *(random_half_plane_fibration(rng, extra_rank=k % 2) for k in range(4)),
+        to_a1(product_fan(p1(), ex13_r1_q2())),
+        example_family(1, 2).f,
+        example_family(2, 2).f,
+    ]
+
+
+def cold(fn):
+    """fn, called with every library cache cleared first."""
+    caches = set(library_caches().values())
+
+    def call(*args, **kwargs):
+        for cache in caches:
+            cache.cache_clear()
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def pair_sweep(f: ToricMorphism, boundaries, rel, lct):
+    """(query, result) of lct at every target ray, and of rel over every
+    target cone at every eps and radius, for each boundary."""
+    out = []
+    for coeffs in boundaries:
+        b = divisor(f.source, coeffs)
+        out += [((b, w), outcome(lct, f, b, w)) for w in range(len(f.target.rays))]
+        out += [
+            ((b, tau, eps, kw), outcome(rel, f, b, tau, eps, **kw))
+            for tau in target_cones(f)
+            for eps in PAIR_EPS
+            for kw in RADII
+        ]
+    return out
+
+
+def rel_path(f: ToricMorphism, b, tau, res) -> str:
+    """Which way relative_mld reached res: the decided exits of its cached
+    analysis, or the radius search."""
+    if isinstance(res, tuple):
+        return res[0].__name__
+    if not isinstance(res, Exact):
+        return type(res).__name__
+    if res.value is MINUS_INFINITY:
+        return "minus_infinity"
+    _, start = fibration._relative_analysis(f, b, tau)
+    if isinstance(start, fibration._SearchStart):
+        return "exact_search"
+    return "exact_enum" if all(c < 1 for c in b.coeffs) else "exact_lp"
+
+
+def test_pair_caches_match_cold_calls_and_references(monkeypatch):
+    """relative_mld and lc_threshold_over, swept over eps and radii with
+    their pair caches warm, equal the same calls with every library cache
+    cleared first, and the references that cache nothing.  The caches are
+    warmed at one search budget and swept at that budget and at 2: the
+    budget, like eps and the radius, is read on every call."""
+    rng = random.Random(8)
+    paths = set()
+    for f in pair_fibrations():
+        bs = boundaries_for(f, rng)
+        for budget in (BUDGET, 2):
+            monkeypatch.setattr(fibration, "_SEARCH_BUDGET", BUDGET)
+            pair_sweep(f, bs[::-1], relative_mld, lc_threshold_over)
+            monkeypatch.setattr(fibration, "_SEARCH_BUDGET", budget)
+            hits = [c.cache_info().hits for c in (fibration._relative_analysis, lc_threshold_over)]
+            warm = pair_sweep(f, bs, relative_mld, lc_threshold_over)
+            for h, c in zip(hits, (fibration._relative_analysis, lc_threshold_over)):
+                assert c.cache_info().hits > h
+            paths |= {rel_path(f, q[0], q[1], res) for q, res in warm if len(q) == 4}
+            assert warm == pair_sweep(f, bs, cold(relative_mld), cold(lc_threshold_over)), f
+            ref_rel = partial(reference_relative_mld, budget=budget)
+            assert warm == pair_sweep(f, bs, ref_rel, fresh_lc_threshold), f
+    assert paths >= {
+        "exact_enum",
+        "exact_lp",
+        "exact_search",
+        "minus_infinity",
+        "CertifiedAtLeast",
+        "Witness",
+        "Indeterminate",
+        "BudgetExhausted",
+    }, paths
+
+
+def non_q_gorenstein_over_a1():
+    """The cone over (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 2) over A^1
+    by its last coordinate: K is not Q-Cartier there, and K + B is for B
+    with -1 on the ray (0, -1, 2), where A is the last coordinate."""
+    x = fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 2)], [(0, 1, 2, 3)])
+    f = fibration.morphism(((0, 0, 1),), x, a1())
+    return f, zero_divisor(x), divisor(x, [-1 if v == (0, -1, 2) else 0 for v in x.rays])
+
+
+def test_errors_keep_their_order_on_a_warm_pair():
+    """A cached analysis of (f, B, tau_z) moves no argument check behind it,
+    and an error is raised on every call and never cached."""
+    f, zero, b = non_q_gorenstein_over_a1()
+    res = relative_mld(f, b, (0,), HALF)
+    assert relative_mld(f, b, (0,), HALF) == res == Exact(Fraction(1), (-1, 0, 1))
+    radius = (DomainError, "the search radius must be >= 0, got -1")
+    empty = (DomainError, "the base cone must have dimension >= 1")
+    not_a_cone = (NotACone, "(1,) is not a cone of the target fan")
+    assert outcome(relative_mld, f, b, (0,), HALF, radius=-1) == radius
+    assert outcome(relative_mld, f, b, (0,), "x", radius=-1) == radius
+    assert outcome(relative_mld, f, b, (0,), "x")[0] is ValueError
+    assert outcome(relative_mld, f, b, (), HALF) == empty
+    size = fibration._relative_analysis.cache_info().currsize
+    for _ in range(2):
+        assert outcome(relative_mld, f, zero, (1,), HALF) == not_a_cone
+        assert outcome(relative_mld, f, zero, (0,), HALF)[0] is NotQCartier
+        assert outcome(relative_mld, f, b, (1,), HALF, radius=-1) == radius
+    assert fibration._relative_analysis.cache_info().currsize == size
+
+
+def test_lc_threshold_errors_are_raised_on_every_call():
+    src = product_fan(p1(), a1())
+    f = to_a1(src)
+    b = divisor(src, [2 if v == (1, 0) else 0 for v in src.rays])
+    before = lc_threshold_over.cache_info()
+    for _ in range(3):
+        assert outcome(lc_threshold_over, f, b, 0) == (
+            NotLogCanonicalOverBase,
+            "A is unbounded below on the fiber over ray 0",
+        )
+    after = lc_threshold_over.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses + 3)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda res: Exact(res.value + 1, res.witness),
+        lambda res: Exact(res.value, tuple(2 * x for x in res.witness)),
+        lambda res: Exact(MINUS_INFINITY, res.witness),
+        lambda res: Witness(res.witness, res.value - 1),
+    ],
+    ids=["value", "not primitive", "minus infinity", "Witness"],
+)
+def test_every_returned_witness_is_reevaluated(monkeypatch, tamper):
+    """A decided result comes from the cache, yet its witness is checked
+    against A on each call that returns it."""
+    f = to_a1(ex13_r1_q2())
+    b = zero_divisor(f.source)
+    a, res = fibration._relative_analysis(f, b, (0,))
+    assert relative_mld(f, b, (0,), HALF) == res
+    monkeypatch.setattr(fibration, "_relative_analysis", lambda *_: (a, tamper(res)))
+    with pytest.raises(AssertionError, match="re-evaluation"):
+        relative_mld(f, b, (0,), HALF)

@@ -218,6 +218,7 @@ FANO_RAY = (DomainError, "multiplicities are read off over a ray of the base")
 LC_RAY = (DomainError, "the fiber is taken over a ray of the base")
 REL_DIM = (DomainError, "the fibration must have positive relative dimension")
 NOT_A_CONE = (NotACone, "(5,) is not a cone of the target fan")
+EMPTY = (DomainError, "the base cone must have dimension >= 1")
 
 
 def eps_error(eps):
@@ -249,12 +250,15 @@ def error_cases():
         ("missing tau_z", call(f, zero, None, HALF), (MISSING,) * 3),
         ("missing before ray", call(f, None, (0, 1), 0), (MISSING,) * 3),
         (
-            # the adjunction harness takes any base cone, so its error comes
-            # from relative_mld in the gate, after the triviality hypothesis
+            # the adjunction harness takes a base cone of any dimension but 0,
+            # and rejects the empty cone in the prologue, before the
+            # triviality hypothesis, whether b is trivial over the base ...
             "tau_z not a ray",
             call(f, hb, (), HALF),
-            (FANO_RAY, (DomainError, "the base cone must have dimension >= 1"), LC_RAY),
+            (FANO_RAY, EMPTY, LC_RAY),
         ),
+        # ... or not
+        ("empty tau_z", call(f, zero, (), HALF), (FANO_RAY, EMPTY, LC_RAY)),
         ("tau_z not a cone", call(f, zero, (5,), HALF), (NOT_A_CONE,) * 3),
         (
             "ray before relative dimension",
@@ -284,7 +288,8 @@ CASES = error_cases()
 # fano harness left relative dimension 0 to delta, and its lc harness
 # neither required b_plus and tau_z nor checked them before the ray check.
 # Its adjunction and lc harnesses left tau_z to relative_mld in the gate,
-# so a pair not trivial over the base failed a hypothesis first.
+# so a pair not trivial over the base failed a hypothesis first, for an
+# empty tau_z too.
 PARENT_ERRORS = {
     ("missing b", 2): (AttributeError, "'NoneType' object has no attribute 'coeffs'"),
     ("missing tau_z", 2): (TypeError, "object of type 'NoneType' has no len()"),
@@ -297,6 +302,9 @@ PARENT_ERRORS = {
         (),
         (("delta", Fraction(1, 8)),),
         (),
+    ),
+    ("empty tau_z", 1): VerificationReport(
+        (("pair_trivial_over_base", False),), (), (("delta", Fraction(1, 8)),), ()
     ),
     ("relative dimension 0", 0): (DomainError, "r must be a positive integer, got 0"),
     ("relative dimension before eps", 0): (DomainError, "r must be a positive integer, got 0"),
