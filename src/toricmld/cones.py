@@ -39,14 +39,20 @@ checks are made on every call.
 ``box_runs`` scans the box points under a cap on a linear functional
 without building the box: on an LLL-reduced basis of the lattice, the 2d + 1
 rows (box and cap) are eliminated once by Fourier–Motzkin and the points are
-lifted one coordinate at a time, the last coordinate one run at a time.
-``box_minimum`` keeps the least (value, sup-norm, x) key over those runs and
-lowers the cap to each better value; the simplex's span basis, V and
-|det V| come from ``_box_lattice``, and s adj V is taken per call.
+lifted one coordinate at a time, the last coordinate one run at a time
+(``_lattice_runs``).  ``box_minimum`` keeps the least (value, sup-norm, x)
+key over those runs and lowers the cap to each better value.  ``cone_runs``
+scans the lattice points of the closed simplicial cone under a cap in the
+same way, with the rows t >= 0, the cap and, optionally, F x >= 1 for the
+inequalities F of a cone's H-representation, which leaves its relative
+interior.  The reduced basis of each simplex is cached (``_reduced_lattice``,
+on top of ``_box_lattice``'s span basis, V and |det V|); the elimination
+depends on the functional and is done per call.
 
-``capped_runs`` is the one enumerator of the other lattice points of a
-simplicial cone (box points plus multiples of the generators, under a cap on
-a linear functional); every other lattice-point scan uses it or
+``capped_runs`` walks the same points of a simplicial cone as box points
+plus multiples of the generators, under a cap on a linear functional, and
+also where the functional vanishes on a generator (up to a fixed number of
+its multiples); the scans that depend on that walk's order use it or
 ``box_points``.  It walks one run at a time: all coefficients but the last
 are fixed, so the capped functional and each row of an H-representation
 (E x = 0, F x > 0) are arithmetic progressions in the last one, and floor
@@ -449,42 +455,40 @@ def _line_point(x, step, t) -> Vec:
     return tuple(a + t * b for a, b in zip(x, step))
 
 
-def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
-    """The nonzero lattice points x of the half-open parallelepiped
-    {Σ t_i g_i : t ∈ [0,1)} with m·x <= cap[0], one run at a time; gens
-    must be nonempty and linearly independent, and the caller may lower
-    cap[0] between runs.
-
-    In span coordinates y the points are the integer y with
-    0 <= (s adj V y)_i <= |det V| - 1 (s = sign det V) and w·y <= cap,
-    w = m in span coordinates.  The lattice s adj V Z^d, in which the box
-    is the cube [0, |det V| - 1]^d, is reduced (``lll_reduce``), so that
-    its basis vectors are short against the cube and each lifting level
-    spans few values; the 2d + 1
-    rows are eliminated once with the cap as a parameter (``_eliminate``),
-    and the coordinates are lifted one at a time, the shortest vector's
-    last, between exact floor and ceiling bounds.  Each loop runs upward
-    from the value nearest 0 and then downward, and takes its bounds again
-    when the cap has dropped.  A run fixes every coordinate but the last
-    and is yielded as (lo, hi, n0, step, point): the points point(k),
-    lo <= k <= hi, with m·x = n0 + step*k.  The run through 0 is yielded
-    as its two halves without it.
-    """
-    basis, vmat, index = _box_lattice(tuple(map(tuple, gens)), dim)
-    if index == 1:
-        return
+@lru_cache(maxsize=4096)
+def _reduced_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[int, Mat, Mat]:
+    """(|det V|, points, z) for independent gens: the rows of H s adj V,
+    LLL-reduced (``lll_reduce``) and reversed so that the shortest comes
+    last, define new coordinates of the span lattice.  points[k] is the
+    k-th basis vector in Z^dim, and z[i][k] its (s adj V y)_i, where y are
+    the span coordinates and s = sign det V; the simplex's coefficients
+    are t = z / |det V|."""
+    basis, vmat, index = _box_lattice(gens, dim)
     sadj = adjugate(vmat)
     if dot(vmat[0], [row[0] for row in sadj]) < 0:  # (V adj V)[0][0] = det V
         sadj = tuple(tuple(-c for c in row) for row in sadj)
-    d = len(gens)
     order = lll_reduce(transpose(sadj))[::-1]
-    points = [tuple(sum(map(mul, u, col)) for col in zip(*basis)) for u in order]
-    vals = [dot(m, x) for x in points]
-    rows = [(tuple(vals), 0, 1, 1)]
-    for i, srow in enumerate(sadj):
-        z = tuple(dot(srow, u) for u in order)  # (s adj V y)_i in the new coordinates
-        rows.append((tuple(-c for c in z), 0, 0, 1 << (2 * i + 1)))
-        rows.append((z, index - 1, 0, 1 << (2 * i + 2)))
+    points = tuple(tuple(sum(map(mul, u, col)) for col in zip(*basis)) for u in order)
+    z = tuple(tuple(dot(srow, u) for u in order) for srow in sadj)
+    return index, points, z
+
+
+def _lattice_runs(points: Mat, vals, rows, cap: list, skip_zero: bool):
+    """The integer v with Σ_k a_k v_k <= beta + gamma * cap[0] for each row
+    (a, beta, gamma), as points x = Σ v_k points[k], one run at a time;
+    the rows must bound v.
+
+    The rows are eliminated once with the cap as a parameter
+    (``_eliminate``), and the coordinates are lifted one at a time, the
+    last one a run, between exact floor and ceiling bounds.  Each loop runs
+    upward from the value nearest 0 and then downward, and takes its bounds
+    again when the cap has dropped.  A run fixes every coordinate but the
+    last and is yielded as (lo, hi, n0, step, point): the points point(k),
+    lo <= k <= hi, with m·x = n0 + step*k, vals[k] = m·points[k].  With
+    skip_zero the run through 0 is yielded as its two halves without it.
+    """
+    d, dim = len(points), len(points[0])
+    rows = [(a, beta, gamma, 1 << j) for j, (a, beta, gamma) in enumerate(rows)]
     conds, levels = _eliminate(rows, d)
     if any(beta + gamma * cap[0] < 0 for beta, gamma in conds):
         return
@@ -514,7 +518,53 @@ def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
                     lo, hi = _bounds(levels[k], v, c)
                 t += inc
 
-    yield from lift(0, (), (0,) * dim, 0, True)
+    yield from lift(0, (), (0,) * dim, 0, skip_zero)
+
+
+def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
+    """The nonzero lattice points x of the half-open parallelepiped
+    {Σ t_i g_i : t ∈ [0,1)} with m·x <= cap[0], one run at a time; gens
+    must be nonempty and linearly independent, and the caller may lower
+    cap[0] between runs.
+
+    In span coordinates y the points are the integer y with
+    0 <= (s adj V y)_i <= |det V| - 1 (s = sign det V) and w·y <= cap,
+    w = m in span coordinates.  The lattice s adj V Z^d, in which the box
+    is the cube [0, |det V| - 1]^d, is reduced (``_reduced_lattice``), so
+    that its basis vectors are short against the cube and each lifting
+    level spans few values, and the 2d + 1 rows are scanned by
+    ``_lattice_runs``, which yields the run through 0 as its two halves
+    without it.
+    """
+    index, points, z = _reduced_lattice(tuple(map(tuple, gens)), dim)
+    if index == 1:
+        return
+    vals = [dot(m, x) for x in points]
+    rows = [(tuple(vals), 0, 1)]
+    for zi in z:
+        rows.append((tuple(-c for c in zi), 0, 0))
+        rows.append((zi, index - 1, 0))
+    yield from _lattice_runs(points, vals, rows, cap, True)
+
+
+def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: int, ineqs=()):
+    """The lattice points x of the closed simplicial cone over gens with
+    m·x <= cap and F x >= 1 for each row F of ineqs, one run at a time, as
+    ``box_runs`` yields them; gens must be nonempty and linearly
+    independent, and m positive on each of them, so that the points are
+    finitely many.
+
+    The rows are those of ``box_runs`` without the upper box bounds,
+    (s adj V y)_i >= 0, and one row per F: with the inequalities of the
+    H-representation of a cone tau whose span is that of gens, the points
+    are those of relint(tau), since F x > 0 is F x >= 1 on lattice points.
+    """
+    _, points, z = _reduced_lattice(tuple(map(tuple, gens)), dim)
+    vals = [dot(m, x) for x in points]
+    rows = [(tuple(vals), 0, 1)]
+    rows.extend((tuple(-c for c in zi), 0, 0) for zi in z)
+    rows.extend((tuple(-dot(row, x) for x in points), -1, 0) for row in ineqs)
+    yield from _lattice_runs(points, vals, rows, [cap], False)
 
 
 def box_minimum(gens: tuple[Vec, ...], dim: int, m, best: tuple) -> tuple:

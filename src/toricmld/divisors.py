@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from . import cones
 from .errors import NotQCartier, OutsideSupport, ValidationError
@@ -78,10 +79,31 @@ class PLFunction:
         )
         return den, nums
 
+    @cached_property
+    def _pieces(self):
+        """(den, per maximal cone (rows, numerators)): the cone is
+        {r·x >= 0 for r in rows}, its integer H-representation with each
+        equation taken with both signs, and the functional is numerators
+        over den, as ``integral()`` gives it.  Kept on the instance, outside
+        the dataclass fields."""
+        den, nums = self.integral()
+        f = self.fan
+        pieces = []
+        for c, m in zip(f.max_cones, nums):
+            eqs, ineqs = cones.hrep(f.cone_gens(c), f.rank)
+            pieces.append((eqs + tuple(tuple(-x for x in e) for e in eqs) + ineqs, m))
+        return den, tuple(pieces)
+
     def __call__(self, v):
-        for c, fn in zip(self.fan.max_cones, self.functionals):
-            if cones.contains(self.fan.cone_gens(c), self.fan.rank, v):
-                return Fraction(dot(fn, v))
+        """A(v) on the first maximal cone containing v, found by integer
+        row tests."""
+        den, pieces = self._pieces
+        for rows, m in pieces:
+            for r in rows:
+                if sum(map(mul, r, v)) < 0:
+                    break
+            else:
+                return Fraction(sum(map(mul, m, v)), den)
         raise OutsideSupport(f"{v} is outside the fan support")
 
 

@@ -7,15 +7,20 @@ fundamental parallelepiped, so when A is positive on the rays the minimum
 is attained among ray generators and parallelepiped points, and sublevel
 regions are finite and enumerable.
 
-Every scan walks simplices of the triangulated cones.  ``mld_at_cone``
-walks them with ``cones.capped_runs`` (lattice points under a cap, one run
-of the last generator's multiples at a time) and passes the walk the
-H-representation of relint(tau), so it counts each run's points in
-relint(tau) by its interval and builds only the points that lower the
-minimum or first reach 0.  ``global_mld`` builds no box:
-``cones.box_minimum`` scans only the box points under the best value so
-far, and the count covers every box point but the zero one (|det V| - 1
-per simplex).  The scans compare integers: A is taken as integer
+Every scan walks simplices of the triangulated cones.  ``global_mld``
+builds no box: ``cones.box_minimum`` scans only the box points under the
+best value so far, and the count covers every box point but the zero one
+(|det V| - 1 per simplex).  ``mld_at_cone`` with A positive on the
+generators of tau builds no box either: ``cones.cone_runs`` scans the
+points of relint(tau) under the value at p0 = Σ g_i in each simplex, and
+the count is their number, once per simplex that holds them.  Its witness
+is p0 when nothing goes below it, and otherwise the point at the least
+value that the walk of box points plus multiples of the generators meets
+first (``_walk_first``, taken only when distinct points tie).  When A
+vanishes at a generator, ``mld_at_cone`` walks with ``cones.capped_runs``
+(lattice points under a cap, one run of the last generator's multiples at
+a time), passing it the H-representation of relint(tau), and counts every
+element of the walk.  The scans compare integers: A is taken as integer
 numerators over one common denominator (``PLFunction.integral``), a cap
 becomes ``floor(cap * den)``, and a Fraction is built only for the value
 returned.
@@ -23,10 +28,12 @@ returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from . import cones
 from .divisors import ToricDivisor, log_discrepancy_function
@@ -108,6 +115,29 @@ def _cone_numerators(f: Fan, nums, tau: tuple[int, ...]):
     raise NotACone(f"{tau} is not contained in a maximal cone")
 
 
+def _walk_first(simplices, dim: int, tied) -> Vec:
+    """The point of the tied runs that the walk of each simplex's box points
+    plus multiples of its generators reaches first: the least key
+    (simplex index, index of b in ``box_points``, floor(t)), where
+    x = Σ t_i g_i and b = x - Σ floor(t_i) g_i.  Keys are taken only when
+    the runs hold distinct points."""
+    found = [(j, point(k)) for j, lo, hi, point in tied for k in range(lo, hi + 1)]
+    if len({x for _, x in found}) == 1:
+        return found[0][1]
+    boxes = {}
+
+    def key(item):
+        j, x = item
+        sgens = simplices[j]
+        if j not in boxes:
+            boxes[j] = {b: i for i, b in enumerate(cones.box_points(sgens, dim))}
+        ks = [math.floor(t) for t in cones.barycentric(sgens, x)]
+        b = tuple(c - sum(map(mul, ks, col)) for c, col in zip(x, zip(*sgens)))
+        return j, boxes[j][b], ks
+
+    return min(found, key=key)[1]
+
+
 def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     """Minimum of A over nonzero lattice points of relint(tau).
 
@@ -142,24 +172,34 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     best_n, best_wit = capn, p0
     simplices = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, f.rank)]
 
-    # relint(tau) = {E x = 0, F x > 0}, which excludes 0; A >= 0 on the
-    # generators, so the least value along a run is at its lo
+    # relint(tau) = {E x = 0, F x > 0}, which excludes 0
     rows = cones.hrep(gens, f.rank)
 
     if all(v > 0 for v in vals):
-        for sgens in simplices:
-            for _, lo, hi, n0, step, point in cones.capped_runs(sgens, f.rank, m, capn, rows):
-                if lo <= hi:
-                    count += hi - lo + 1
-                    if n0 + step * lo < best_n:
-                        best_n, best_wit = n0 + step * lo, point(lo)
+        # the runs of every simplex hold the points of relint(tau) under the
+        # cap, once per simplex that contains them; tied keeps the runs'
+        # points at the least value found below capn
+        tied = []
+        for j, sgens in enumerate(simplices):
+            for lo, hi, n0, step, point in cones.cone_runs(sgens, f.rank, m, capn, rows[1]):
+                count += hi - lo + 1
+                if step:
+                    lo = hi = lo if step > 0 else hi
+                n = n0 + step * lo
+                if n < best_n:
+                    best_n, tied = n, []
+                if n == best_n < capn:
+                    tied.append((j, lo, hi, point))
+        if tied:
+            best_wit = _walk_first(simplices, f.rank, tied)
         return MldReport(Fraction(best_n, den), best_wit, count, "exact")
 
     # some generators sit at level zero: the closed infimum comes from the
     # parallelepiped scan, attainment is probed with capped coefficients on
     # the zero directions.  Every element of the walk is counted, including
     # those above the cap, but its first: as capn >= 0, every k range of the
-    # zero box point is nonempty, so the walk starts at the zero point
+    # zero box point is nonempty, so the walk starts at the zero point.  A
+    # is >= 0 on the generators, so the least value along a run is at its lo
     closed = Fraction(0)
     found = None
     for sgens in simplices:

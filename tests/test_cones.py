@@ -29,6 +29,7 @@ from toricmld.cones import (
     box_runs,
     box_size,
     capped_runs,
+    cone_runs,
     contains,
     covered_by,
     cut,
@@ -382,6 +383,54 @@ def test_box_runs_match_reference_box_points(seed):
     start = (cap, rng.choice([0, 10**9]), (0,) * dim)
     keys = [(dot(m, x), max(map(abs, x)), x) for x in got]
     assert box_minimum(gens, dim, m, start) == min(keys + [start])
+
+
+def closed_cone_points(gens, dim: int, m, cap: int):
+    """The lattice points x = b + Σ k_i g_i of the closed simplicial cone
+    over gens with m·x <= cap, b a point of reference_box_points; m must be
+    positive on gens."""
+    vals = [dot(m, g) for g in gens]
+    out = []
+    for b in reference_box_points(gens, dim):
+        ranges = [range(max(-1, (cap - dot(m, b)) // v) + 1) for v in vals]
+        for ks in product(*ranges):
+            x = tuple(c + sum(k * g[j] for k, g in zip(ks, gens)) for j, c in enumerate(b))
+            if dot(m, x) <= cap:
+                out.append(x)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cone_runs_match_brute_force(seed):
+    """The runs of cone_runs hold exactly the lattice points x of the closed
+    simplicial cone with m·x <= cap, each once, and with the inequalities
+    of the cone's H-representation as rows exactly those of its relative
+    interior; each run's values are its progression.  Ranks go up to 4,
+    spans of lower dimension included, and the cap is a value some point
+    takes, one between values, or below every value."""
+    rng = random.Random(seed)
+    gens, dim, _ = scan_case(rng)
+    eqs, ineqs = hrep(gens, dim)
+    m = (0,) * dim
+    for row, c in [(r, rng.randint(1, 3)) for r in ineqs] + [(e, rng.randint(-2, 2)) for e in eqs]:
+        m = tuple(a + c * b for a, b in zip(m, row))
+    assert all(dot(m, g) > 0 for g in gens)
+    pts = closed_cone_points(gens, dim, m, max(dot(m, g) for g in gens))
+    values = sorted({dot(m, x) for x in pts})
+    between = [v + 1 for v in values[:-1] if v + 1 not in values] or values
+    cap = rng.choice([rng.choice(values), rng.choice(between), rng.choice([-1, values[1] - 1])])
+    rows = rng.choice([(), ineqs])
+    want = [x for x in pts if dot(m, x) <= cap and all(dot(f, x) >= 1 for f in rows)]
+    if rows:
+        assert want == [x for x in pts if dot(m, x) <= cap and relint_contains(gens, dim, x)]
+    runs = list(cone_runs(gens, dim, m, cap, rows))
+    got = [point(k) for lo, hi, _, _, point in runs for k in range(lo, hi + 1)]
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(want)
+    for lo, hi, n0, step, point in runs:
+        assert lo <= hi
+        assert all(dot(m, point(k)) == n0 + step * k for k in (lo, hi))
 
 
 def test_box_minimum_examples():

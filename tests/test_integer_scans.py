@@ -8,17 +8,21 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    a1,
+    cone_over_square,
     cones_of,
     expand_runs,
     identity_morphism,
     outcome,
     p2,
+    product_fan,
     random_fan,
     random_gl,
     random_half_plane_fibration,
@@ -43,7 +47,13 @@ from toricmld.fibration import (
     relative_mld,
 )
 from toricmld.intlinalg import is_zero
-from toricmld.singularities import MldReport, _triangulated, global_mld, mld_at_cone
+from toricmld.singularities import (
+    MldReport,
+    _triangulated,
+    global_mld,
+    log_discrepancy,
+    mld_at_cone,
+)
 
 
 def random_coeffs(rng, n):
@@ -84,15 +94,113 @@ def test_global_mld_matches_fraction_scan(seed):
     same(global_mld(f, b), reference_global_mld(f, b))
 
 
-@settings(max_examples=30, deadline=None)
+def tie_coeffs(rng, n):
+    """random_coeffs half of the time; otherwise coefficients that make
+    distinct points tie at the minimum: all 0, one value on every ray, or
+    values in {0, 1/3, 2/3}."""
+    kind = rng.randrange(6)
+    if kind < 3:
+        return random_coeffs(rng, n)
+    if kind == 3:
+        return [Fraction(0)] * n
+    if kind == 4:
+        return [Fraction(rng.randint(1, 3), 4)] * n
+    return [Fraction(rng.randint(0, 2), 3) for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mld_at_cone_matches_fraction_scan(seed):
+    """The cap-first cone scan and the zero branch's walk against the
+    per-point reference, field by field, on fans of rank up to 4 in random
+    GL_n(Z) coordinates."""
     rng = random.Random(seed)
-    f = random_fan(rng, max_rank=3, subdivisions=2)
-    b = divisor(f, random_coeffs(rng, len(f.rays)))
+    f = random_fan(rng, max_rank=4, subdivisions=2)
+    b = divisor(f, tie_coeffs(rng, len(f.rays)))
+    if rng.random() < 0.5:
+        u = random_gl(rng, f.rank)
+        f, b = twist_fan(f, u), twist_divisor(b, u)
     taus = cones_of(f)
     for tau in rng.sample(taus, min(6, len(taus))):
         same(mld_at_cone(f, b, tau), reference_mld_at_cone(f, b, tau))
+
+
+def test_mld_at_cone_tie_goes_to_the_walk_first_point():
+    """Seven points of relint(tau) take the least value 2/3.  The witness is
+    the one the walk of box points plus multiples of the generators meets
+    first, which is neither the lexicographically least nor the least in
+    sup-norm."""
+    f = fan(2, [(5, -2), (-11, 6)], [(0, 1)])
+    b = divisor(f, [Fraction(1, 3)] * 2)
+    tau = (0, 1)
+    rep = mld_at_cone(f, b, tau)
+    assert rep == MldReport(Fraction(2, 3), (3, -1), 22, "exact")
+    same(rep, reference_mld_at_cone(f, b, tau))
+    a = log_discrepancy_function(f, b)
+    gens = f.cone_gens(tau)
+    tied = [
+        x
+        for x in product(range(-12, 13), repeat=2)
+        if cones.relint_contains(gens, 2, x) and a(x) == rep.value
+    ]
+    assert len(tied) == 7 and max(max(map(abs, x)) for x in tied) < 12
+    assert rep.witness != min(tied)
+    assert rep.witness != min(tied, key=lambda x: (max(map(abs, x)), x))
+
+
+def test_mld_at_cone_counts_a_shared_face_once_per_simplex():
+    """The cone over a square is triangulated into two simplices that share
+    a diagonal face; each point of relint(tau) under the cap on that face
+    is counted by both."""
+    f = cone_over_square()
+    b = zero_divisor(f)
+    tau = (0, 1, 2, 3)
+    gens = f.cone_gens(tau)
+    simplices = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, 3)]
+    assert len(simplices) == 2
+    a = log_discrepancy_function(f, b)
+    cap = a(cones.relint_point(gens))
+    under = [
+        x
+        for x in product(range(-9, 10), repeat=3)
+        if cones.relint_contains(gens, 3, x) and a(x) <= cap
+    ]
+    shared = [x for x in under if all(cones.contains(s, 3, x) for s in simplices)]
+    assert (len(under), len(shared)) == (44, 16)
+    rep = mld_at_cone(f, b, tau)
+    assert rep == MldReport(Fraction(1), (0, 0, 1), 44 + 16, "exact")
+    same(rep, reference_mld_at_cone(f, b, tau))
+
+
+def test_mld_at_cone_minimum_at_the_cap_is_the_relint_point():
+    """When no point of relint(tau) goes below A(p0), p0 = Σ g_i, the
+    witness is p0.  That happens only on a smooth simplicial cone, where p0
+    is the only point at that value."""
+    rng = random.Random(5)
+    u = random_gl(rng, 3)
+    x = product_fan(p2(), a1())
+    f = twist_fan(x, u)
+    b = twist_divisor(divisor(x, [Fraction(1, 2), Fraction(1, 3), 0, Fraction(2, 3)]), u)
+    for tau in cones_of(f):
+        rep = mld_at_cone(f, b, tau)
+        p0 = cones.relint_point(f.cone_gens(tau))
+        assert (rep.witness, rep.value, rep.enumerated_count) == (p0, log_discrepancy(f, b, p0), 1)
+        same(rep, reference_mld_at_cone(f, b, tau))
+
+
+def test_mld_at_cone_of_example_family_rank_4(monkeypatch):
+    """The maximal cone (0, 1, 2, 3) of example_family(3, 2) holds 5 149 783
+    points of its interior under the cap; the cone scan counts them without
+    building a box point."""
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the positive branch walked a parallelepiped")
+
+    monkeypatch.setattr(cones, "capped_runs", no_walk)
+    monkeypatch.setattr(cones, "box_points", no_walk)
+    x = example_family(3, 2).x
+    rep = mld_at_cone(x, zero_divisor(x), (0, 1, 2, 3))
+    assert rep == MldReport(Fraction(271853, 543305), (-1, 0, 0, 602), 5149783, "exact")
 
 
 def test_mld_at_cone_zero_branch_matches_fraction_scan():
