@@ -40,25 +40,30 @@ checks are made on every call.
 without building the box: on an LLL-reduced basis of the lattice, the 2d + 1
 rows (box and cap) are eliminated once by Fourier–Motzkin and the points are
 lifted one coordinate at a time, the last coordinate one run at a time
-(``_lattice_runs``).  ``box_minimum`` keeps the least (value, sup-norm, x)
-key over those runs and lowers the cap to each better value.  ``cone_runs``
-scans the lattice points of the closed simplicial cone under a cap in the
-same way, with the rows t >= 0, the cap and, optionally, F x >= 1 for the
-inequalities F of a cone's H-representation, which leaves its relative
-interior.  The reduced basis of each simplex is cached (``_reduced_lattice``,
-on top of ``_box_lattice``'s span basis, V and |det V|); the elimination
-depends on the functional and is done per call.
+(``_lattice_runs``).  ``cone_runs`` scans the lattice points of the closed
+simplicial cone under a cap in the same way, with the rows t >= 0, the cap
+and F x >= 1 for each given row F (with the inequalities of a cone's
+H-representation, its relative interior).  The reduced basis of each
+simplex is cached (``_reduced_lattice``, on top of ``_box_lattice``'s span
+basis, V and |det V|); the elimination depends on the functional and is
+done per call.  ``least_key`` is the one fold of the scans whose answer
+does not depend on scan order: it keeps the least (value, sup-norm, x) key
+(``point_key``) over runs, builds only the least end of a run (all of it
+when its step is 0) and lowers the cap to each better value, which the
+scans read between runs.  ``box_minimum`` folds ``box_runs`` with it.
 
 ``capped_runs`` walks the same points of a simplicial cone as box points
 plus multiples of the generators, under a cap on a linear functional, and
 also where the functional vanishes on a generator (up to a fixed number of
-its multiples); the scans that depend on that walk's order use it or
-``box_points``.  It walks one run at a time: all coefficients but the last
-are fixed, so the capped functional and each row of an H-representation
-(E x = 0, F x > 0) are arithmetic progressions in the last one, and floor
-division gives the interval of points that pass them all
-(``progression_interval``).  Callers count a run by its size and build a
-point only when it can be the answer.
+its multiples).  It stays for the two scans whose result follows the walk's
+order: the zero branch of ``singularities.mld_at_cone`` (it counts every
+element of the walk and returns the first zero) and the radius search of
+``fibration.relative_mld`` (it charges its budget in walk order).  It walks
+one run at a time: all coefficients but the last are fixed, so the capped
+functional and each row of an H-representation (E x = 0, F x > 0) are
+arithmetic progressions in the last one, and floor division gives the
+interval of points that pass them all (``progression_interval``).  Callers
+count a run by its size and build a point only when it can be the answer.
 """
 
 from __future__ import annotations
@@ -547,12 +552,12 @@ def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
     yield from _lattice_runs(points, vals, rows, cap, True)
 
 
-def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: int, ineqs=()):
+def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: list, ineqs=()):
     """The lattice points x of the closed simplicial cone over gens with
-    m·x <= cap and F x >= 1 for each row F of ineqs, one run at a time, as
-    ``box_runs`` yields them; gens must be nonempty and linearly
+    m·x <= cap[0] and F x >= 1 for each row F of ineqs, one run at a time,
+    as ``box_runs`` yields them; gens must be nonempty and linearly
     independent, and m positive on each of them, so that the points are
-    finitely many.
+    finitely many.  The caller may lower cap[0] between runs.
 
     The rows are those of ``box_runs`` without the upper box bounds,
     (s adj V y)_i >= 0, and one row per F: with the inequalities of the
@@ -564,26 +569,39 @@ def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: int, ineqs=()):
     rows = [(tuple(vals), 0, 1)]
     rows.extend((tuple(-c for c in zi), 0, 0) for zi in z)
     rows.extend((tuple(-dot(row, x) for x in points), -1, 0) for row in ineqs)
-    yield from _lattice_runs(points, vals, rows, [cap], False)
+    yield from _lattice_runs(points, vals, rows, cap, False)
+
+
+def point_key(n: int, x: Vec) -> tuple:
+    """(n, sup-norm of x, x): the key that the order-free scans minimize."""
+    return n, max(map(abs, x)), x
+
+
+def least_key(best: tuple, runs, cap: list) -> tuple:
+    """The least ``point_key`` among best and the points of runs
+    (lo, hi, n0, step, point), valued n0 + step*k at point(k), lo <= k <= hi.
+    Only a run's least end can win, and only at a value <= best's (a run of
+    step 0 is then scanned whole); cap[0] drops to each better value."""
+    for lo, hi, n0, step, point in runs:
+        k = lo if step >= 0 else hi
+        n = n0 + step * k
+        if n > best[0]:
+            continue
+        for k in range(lo, hi + 1) if step == 0 else (k,):
+            key = point_key(n, point(k))
+            if key < best:
+                best, cap[0] = key, n
+    return best
 
 
 def box_minimum(gens: tuple[Vec, ...], dim: int, m, best: tuple) -> tuple:
-    """The least key (m·x, sup-norm of x, x) among best and the nonzero
-    lattice points x of the half-open parallelepiped of independent gens
-    with m·x <= best[0].  Along a run of ``box_runs`` m·x is an arithmetic
-    progression, so only the end with the least value can be the answer,
-    unless the step is 0 and the run is scanned; the cap drops to each
-    better value found."""
+    """The least key among best and the nonzero lattice points x of the
+    half-open parallelepiped of independent gens with m·x <= best[0]
+    (``least_key`` over ``box_runs``)."""
     if not gens:
         return best
     cap = [best[0]]
-    for lo, hi, n0, step, point in box_runs(gens, dim, m, cap):
-        for k in range(lo, hi + 1) if step == 0 else (lo if step > 0 else hi,):
-            x = point(k)
-            key = (n0 + step * k, max(map(abs, x)), x)
-            if key < best:
-                best, cap[0] = key, key[0]
-    return best
+    return least_key(best, box_runs(gens, dim, m, cap), cap)
 
 
 def progression_interval(lo: int, hi: int, a: int, step: int, sense: int) -> tuple[int, int]:

@@ -34,11 +34,16 @@ as well: ``lc_threshold_over`` whole, per (f, B, w), and ``relative_mld``
 up to that step, per (f, B, tau_z) (``_relative_analysis``: its LPs, its
 -infinity exits and its sublevel scan).  A comes from
 ``divisors.log_discrepancy_function``'s cache.
+
+With every coefficient of B below 1 the sublevel scan is exact and builds
+no box: ``cones.cone_runs`` scans each face over tau_z of the planned cones'
+simplices once, with the rows F M x >= 1 under the LP seed's value, folded by
+``cones.least_key``.  The radius search still walks boxes
+(``cones.capped_runs``), since it charges its budget in walk order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,10 +221,17 @@ def generic_fiber_fan(f: ToricMorphism) -> tuple[Mat, Fan]:
     return kb, fiber
 
 
+def _target_ray(f: ToricMorphism, w: int) -> Vec:
+    """The target ray of index w; DomainError unless 0 <= w < number of rays."""
+    if not 0 <= w < len(f.target.rays):
+        raise DomainError(f"target ray index {w} out of range")
+    return f.target.rays[w]
+
+
 def pullback_multiplicities(f: ToricMorphism, w: int) -> tuple[tuple[Vec, int], ...]:
     """Source rays lying over the target ray w with their multiplicities:
     pairs (v, c) with phi(v) = c*w, c a positive integer."""
-    wv = f.target.rays[w]
+    wv = _target_ray(f, w)
     j = next(i for i, x in enumerate(wv) if x != 0)
     out = []
     for v in f.source.rays:
@@ -257,7 +269,7 @@ def _lc_plan(f: ToricMorphism, w: int) -> tuple[tuple[int, ConeRegion], ...]:
     """(index, region) of each maximal source cone whose image contains the
     target ray w: the region is the cone's fiber polyhedron over w,
     {x in cone : M x = w}."""
-    wv = f.target.rays[w]
+    wv = _target_ray(f, w)
     out = []
     for k, c in enumerate(f.source.max_cones):
         gens = f.source.cone_gens(c)
@@ -340,39 +352,17 @@ def check_radius(radius: int) -> None:
         raise DomainError(f"the search radius must be >= 0, got {radius}")
 
 
-def _pick_witness(cands):
-    value = min(v for v, _ in cands)
-    wit = min(x for v, x in cands if v == value)
-    return value, wit[1]
-
-
-def _norm_key(x) -> tuple:
-    return (max(abs(t) for t in x), x)
-
-
-def _fold_run(found, lo, hi, n0, step, point) -> None:
-    """Fold the points x(k) of a run, lo <= k <= hi, valued n0 + step*k,
-    into found: the candidates (n, (_norm_key(x), x)) of the least value n
-    seen so far, built only when they reach it."""
-    k = lo if step >= 0 else hi
-    n = n0 + step * k
-    if n < found[0][0]:
-        found.clear()
-    if not found or n == found[0][0]:
-        ks = range(lo, hi + 1) if step == 0 else (k,)
-        found.extend((n, (_norm_key(x), x)) for x in map(point, ks))
-
-
 @lru_cache(maxsize=1024)
 def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
     """What relative_mld needs of f and tau_z alone: the pulled-back rows
     (E M, F M), with x over relint(tau_z) iff E M x = 0 and F M x > 0 (which
-    excludes 0); and (index, generators, lifted, closed) of each maximal
-    source cone whose image meets relint(tau_z).  The face spanning the
-    cone's part over tau_z has pc, the sum of its nonzero images, a lattice
-    point of relint(tau_z) in the cone's image.  lifted is the LP region
-    {x in cone : M x = pc}, and closed the region {x in face : u0 x = 1},
-    u0 the sum of the F M rows."""
+    excludes 0); and (index, generators, lifted, closed, faces) of each
+    maximal source cone whose image meets relint(tau_z).  The face spanning
+    the cone's part over tau_z has pc, the sum of its nonzero images, a
+    lattice point of relint(tau_z) in the cone's image.  lifted is the LP
+    region {x in cone : M x = pc}, closed the region {x in face : u0 x = 1},
+    u0 the sum of the F M rows, and faces the faces of the cone's simplices
+    over tau_z (ray indices) that no earlier entry holds."""
     if not is_cone_of(f.target, tau_z):
         raise NotACone(f"{tau_z} is not a cone of the target fan")
     src, nz = f.source, f.target.rank
@@ -380,7 +370,7 @@ def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
     teq, tineq = cones.hrep(tgens, nz)
     eq_src, ineq_src = _pullback(f, teq), _pullback(f, tineq)
     u0_src = tuple(map(sum, zip(*ineq_src)))
-    plan = []
+    plan, seen = [], set()
     for k, c in enumerate(src.max_cones):
         gens = src.cone_gens(c)
         face = tuple(
@@ -396,7 +386,9 @@ def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
             continue
         lifted = cone_region(gens, f.matrix, pc)
         closed = cone_region(face, (u0_src,), (1,))
-        plan.append((k, gens, lifted, closed))
+        faces = {tuple(sorted(i for i in s if src.rays[i] in face)) for s in _triangulated(src)[k]}
+        plan.append((k, gens, lifted, closed, tuple(sorted(faces - seen - {()}))))
+        seen |= faces
     return (eq_src, ineq_src), tuple(plan)
 
 
@@ -404,14 +396,14 @@ def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
 class _SearchStart:
     """What relative_mld's last step starts from when its analysis decides
     nothing: the closed-region bound lower, A as (den, nums), the pulled-back
-    rows, the cap floor(cap * den) on A's numerators, the relevant cones'
-    indices and the seed candidate (capn, (_norm_key(wit0), wit0))."""
+    rows, the relevant cones' indices and the seed key
+    ``cones.point_key(capn, wit0)``, whose value capn = den * A(wit0) caps
+    A's numerators."""
 
     lower: Fraction
     den: int
     nums: tuple[Vec, ...]
     rows: tuple
-    capn: int
     relevant: tuple[int, ...]
     seed: tuple
 
@@ -428,8 +420,7 @@ def _relative_analysis(f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...]
 
     # each planned cone with a lifted lattice witness over relint(tau_z)
     relevant = []
-    best = None
-    for k, _, lifted, closed in plan:
+    for k, _, lifted, closed, _ in plan:
         fn = a.functionals[k]
         res = minimize(lifted, fn)
         assert isinstance(res, (Optimal, Unbounded))
@@ -441,28 +432,20 @@ def _relative_analysis(f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...]
             assert isinstance(feas, Optimal)
             v0 = scale_to_integer(feas.point)
             return a, Exact(MINUS_INFINITY, _descend(a, v0, d))
-        v0 = primitive(scale_to_integer(res.point))
-        val0 = Fraction(dot(nums[k], v0), den)  # v0 lies in cone k, where A is fn
-        relevant.append((k, fn, closed, v0))
-        if best is None or (val0, _norm_key(v0)) < best[:2]:
-            best = (val0, _norm_key(v0), v0)
+        relevant.append((k, fn, closed, primitive(scale_to_integer(res.point))))
     if not relevant:
         raise NoCone("no cone maps onto the chosen base cone")
-    cap, _, wit0 = best
-    capn = math.floor(cap * den)
-    seed = (capn, (_norm_key(wit0), wit0))
+    # v0 lies in cone k, where A is nums[k] / den
+    seed = min(cones.point_key(dot(nums[k], v0), v0) for k, _, _, v0 in relevant)
+    capn, _, wit0 = seed
 
     if all(1 - coeff > 0 for coeff in b.coeffs):
-        found = [seed]
-        for num, simplices in zip(nums, _triangulated(src)):
-            for simplex in simplices:
-                for _, lo, hi, n0, step, point in cones.capped_runs(
-                    src.cone_gens(simplex), nx, num, capn, rows
-                ):
-                    if lo <= hi:
-                        _fold_run(found, lo, hi, n0, step, point)
-        value, wit = _pick_witness(found)
-        return a, Exact(Fraction(value, den), wit)
+        best, cap = seed, [capn]
+        for k, *_, faces in plan:
+            for face in faces:
+                runs = cones.cone_runs(src.cone_gens(face), nx, nums[k], cap, rows[1])
+                best = cones.least_key(best, runs, cap)
+        return a, Exact(Fraction(best[0], den), best[2])
 
     # closed-region lower bound, one LP per relevant cone
     lower = None
@@ -477,9 +460,9 @@ def _relative_analysis(f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...]
             return a, Exact(MINUS_INFINITY, _descend(a, v0, d))
         if lower is None or res.value < lower:
             lower = res.value
-    if cap == lower:
+    if Fraction(capn, den) == lower:
         return a, Exact(lower, wit0)
-    return a, _SearchStart(lower, den, nums, rows, capn, tuple(k for k, *_ in relevant), seed)
+    return a, _SearchStart(lower, den, nums, rows, tuple(k for k, *_ in relevant), seed)
 
 
 def relative_mld(
@@ -524,26 +507,25 @@ def _radius_search(src: Fan, a, start: _SearchStart, eps: Fraction, radius: int)
     # its size, and only its k below the budget left are examined.  The walk
     # is not drawn past the budget, so one that ends exactly there is
     # reported as exhausted too
-    nx, nums = src.rank, start.nums
-    found = [start.seed]
+    nx, nums, capn = src.rank, start.nums, start.seed[0]
+    best, cap = start.seed, [capn]
     budget = _SEARCH_BUDGET
     runs = (
         run
         for k in start.relevant
         for simplex in _triangulated(src)[k]
         for run in cones.capped_runs(
-            src.cone_gens(simplex), nx, nums[k], start.capn, start.rows, zero_cap=radius, cap=radius
+            src.cone_gens(simplex), nx, nums[k], capn, start.rows, zero_cap=radius, cap=radius
         )
     )
     for size, lo, hi, n0, step, point in runs:
         hi = min(hi, budget - 1)
         if lo <= hi:
-            _fold_run(found, lo, hi, n0, step, point)
+            best = cones.least_key(best, ((lo, hi, n0, step, point),), cap)
         budget -= min(size, budget)
         if budget <= 0:
             break
-    value, wit = _pick_witness(found)
-    value = Fraction(value, start.den)
+    value, wit = Fraction(best[0], start.den), best[2]
     if not is_primitive(wit):
         wit = primitive(wit)
         value = a(wit)

@@ -17,10 +17,12 @@ the count is their number, once per simplex that holds them.  Its witness
 is p0 when nothing goes below it, and otherwise the point at the least
 value that the walk of box points plus multiples of the generators meets
 first (``_walk_first``, taken only when distinct points tie).  When A
-vanishes at a generator, ``mld_at_cone`` walks with ``cones.capped_runs``
-(lattice points under a cap, one run of the last generator's multiples at
-a time), passing it the H-representation of relint(tau), and counts every
-element of the walk.  The scans compare integers: A is taken as integer
+vanishes at a generator, ``mld_at_cone`` still walks boxes, with
+``cones.capped_runs`` (lattice points under a cap, one run of the last
+generator's multiples at a time), passing it the H-representation of
+relint(tau): it counts every element of the walk, above the cap too, and
+its witness is the first zero the walk meets, so both follow the walk's
+order.  The scans compare integers: A is taken as integer
 numerators over one common denominator (``PLFunction.integral``), a cap
 becomes ``floor(cap * den)``, and a Fraction is built only for the value
 returned.
@@ -94,12 +96,7 @@ def global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     neg = next((i for i, v in enumerate(ray_vals) if v < 0), None)
     if neg is not None:
         return MldReport(MINUS_INFINITY, f.rays[neg], count, "minus_infinity")
-    def key(val, x):
-        return (val, max(abs(t) for t in x), x)
-
-    best = min(
-        (key(int(v * den), r) for v, r in zip(ray_vals, f.rays)),
-    )
+    best = min(cones.point_key(int(v * den), r) for v, r in zip(ray_vals, f.rays))
     for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
             gens = f.cone_gens(simplex)
@@ -181,7 +178,7 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
         # points at the least value found below capn
         tied = []
         for j, sgens in enumerate(simplices):
-            for lo, hi, n0, step, point in cones.cone_runs(sgens, f.rank, m, capn, rows[1]):
+            for lo, hi, n0, step, point in cones.cone_runs(sgens, f.rank, m, [capn], rows[1]):
                 count += hi - lo + 1
                 if step:
                     lo = hi = lo if step > 0 else hi

@@ -44,8 +44,6 @@ from toricmld.fibration import (
     Witness,
     _descend,
     _image_in_cone,
-    _norm_key,
-    _pick_witness,
     _pullback,
     average_boundary,
     check_radius,
@@ -909,6 +907,13 @@ def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau, zero_cap: int = 3) -> Ml
     return MldReport(closed, None, count, "zero_on_boundary_infimum")
 
 
+def _least_point(cands):
+    """(value, x) of the candidate with the least value, ties going to the
+    least sup-norm and then the lexicographically least x."""
+    value, _, x = min((v, max(abs(t) for t in x), x) for v, x in cands)
+    return value, x
+
+
 def reference_relative_mld(
     f, b: ToricDivisor, tau_z, eps, radius: int = 10_000, budget: int = 2_000_000
 ):
@@ -945,19 +950,19 @@ def reference_relative_mld(
         v0 = primitive(scale_to_integer(res.point))
         val0 = a(v0)
         relevant.append((c, fn, gens, v0))
-        if best is None or (val0, _norm_key(v0)) < best[:2]:
-            best = (val0, _norm_key(v0), v0)
+        key = (val0, max(abs(t) for t in v0), v0)
+        if best is None or key < best:
+            best = key
     if not relevant:
         raise NoCone("no cone maps onto the chosen base cone")
     cap, _, wit0 = best
 
     if all(1 - coeff > 0 for coeff in b.coeffs):
-        cands = [(cap, (_norm_key(wit0), wit0))]
+        cands = [(cap, wit0)]
         for x, val in reference_sublevel_points(src, a, cap):
             if maps_into_relint(x):
-                cands.append((val, (_norm_key(x), x)))
-        value, wit = _pick_witness(cands)
-        return Exact(value, wit)
+                cands.append((val, x))
+        return Exact(*_least_point(cands))
 
     u0 = tineq[0]
     for m in tineq[1:]:
@@ -984,7 +989,7 @@ def reference_relative_mld(
     if lower >= eps:
         return CertifiedAtLeast(lower)
 
-    found = [(cap, (_norm_key(wit0), wit0))]
+    found = [(cap, wit0)]
     searched = 0
     for c, fn, gens, _ in relevant:
         for t in triangulate(gens, nx):
@@ -1007,7 +1012,7 @@ def reference_relative_mld(
                         if n:
                             x = vec_add(x, vec_scale(n, g))
                     if not is_zero(x) and maps_into_relint(x):
-                        found.append((Fraction(dot(fn, x)), (_norm_key(x), x)))
+                        found.append((Fraction(dot(fn, x)), x))
                     budget -= 1
                     if budget <= 0:
                         break
@@ -1017,7 +1022,7 @@ def reference_relative_mld(
                 break
         if budget <= 0:
             break
-    value, wit = _pick_witness(found)
+    value, wit = _least_point(found)
     if not is_primitive(wit):
         wit = primitive(wit)
         value = a(wit)

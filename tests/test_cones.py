@@ -424,7 +424,7 @@ def test_cone_runs_match_brute_force(seed):
     want = [x for x in pts if dot(m, x) <= cap and all(dot(f, x) >= 1 for f in rows)]
     if rows:
         assert want == [x for x in pts if dot(m, x) <= cap and relint_contains(gens, dim, x)]
-    runs = list(cone_runs(gens, dim, m, cap, rows))
+    runs = list(cone_runs(gens, dim, m, [cap], rows))
     got = [point(k) for lo, hi, _, _, point in runs for k in range(lo, hi + 1)]
     assert len(got) == len(set(got))
     assert sorted(got) == sorted(want)

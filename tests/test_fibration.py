@@ -175,6 +175,26 @@ class TestLcThreshold:
             assert lc_threshold_over(g, zero_divisor(twisted), 0) == t0
 
 
+@pytest.mark.parametrize("w", [-1, -3, 3, 4])
+def test_target_ray_index_out_of_range(w):
+    """P^2 has rays 0, 1, 2: a negative index names no ray (it is not read
+    from the end), and neither does 3 or more.  Both calls raise on every
+    call, the cached threshold too."""
+    f, b = identity_morphism(p2()), zero_divisor(p2())
+    for _ in range(2):
+        with pytest.raises(DomainError, match=f"target ray index {w} out of range"):
+            pullback_multiplicities(f, w)
+        with pytest.raises(DomainError, match=f"target ray index {w} out of range"):
+            lc_threshold_over(f, b, w)
+
+
+def test_target_ray_index_at_both_ends():
+    f, b = identity_morphism(p2()), zero_divisor(p2())
+    for w in (0, 2):
+        assert pullback_multiplicities(f, w) == ((p2().rays[w], 1),)
+        assert lc_threshold_over(f, b, w) == 1
+
+
 def _mv(m, v):
     from toricmld.intlinalg import mat_vec
 

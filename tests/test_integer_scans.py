@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,32 +22,38 @@ from helpers import (
     expand_runs,
     identity_morphism,
     outcome,
+    p1,
     p2,
     product_fan,
     random_fan,
     random_gl,
     random_half_plane_fibration,
+    random_support_point,
     reference_fiber_cones_minimum,
     reference_global_mld,
     reference_mld_at_cone,
     reference_relative_mld,
     reference_sublevel_points,
     sublevel_points,
+    to_a1,
     twist_divisor,
     twist_fan,
+    unimodular_inverse,
 )
 from toricmld import cones, fibration
 from toricmld.bounds import _fiber_cones_minimum, example_family, u_sequence
 from toricmld.cli import main
 from toricmld.divisors import divisor, log_discrepancy_function, zero_divisor
-from toricmld.fans import fan
+from toricmld.fans import fan, star_subdivision
 from toricmld.fibration import (
     BudgetExhausted,
+    Exact,
     lc_threshold_over,
     lc_thresholds,
+    morphism,
     relative_mld,
 )
-from toricmld.intlinalg import is_zero
+from toricmld.intlinalg import is_zero, mat_mul
 from toricmld.singularities import (
     MldReport,
     _triangulated,
@@ -399,6 +406,68 @@ def test_relative_mld_matches_fraction_scan(seed, kind):
     )
 
 
+def enumeration_case(rng, kind):
+    """A fibration with its source in random GL_n(Z) coordinates and a
+    boundary with every coefficient in [0, 1), so that relative_mld
+    enumerates.  Kind 0: P^1 times a half-plane fibration's source, over
+    P^1 x A^1, whose rays as base cones give pulled-back equations (E M).
+    Kind 1: P^2 x A^1 star-subdivided one to three times, over A^1.  Kind 2:
+    the identity of a random fan, where points of a simplex off the face
+    over a ray can lie below the ray.  Kind 3: the cone over the square
+    with vertices (±2, 0), (0, ±2), over A^1; its two simplices hold
+    different points, and A is linear on it (B = 1 - m·v on the rays v)."""
+    if kind == 0:
+        src = random_half_plane_fibration(rng, 1).source
+        f = morphism(((1, 0, 0), (0, 0, 1)), src, product_fan(p1(), a1()))
+    elif kind == 1:
+        x = product_fan(p2(), a1())
+        for _ in range(rng.randint(1, 3)):
+            x = star_subdivision(x, random_support_point(rng, x))
+        f = to_a1(x)
+    elif kind == 2:
+        f = identity_morphism(random_fan(rng, max_rank=3, subdivisions=2))
+    else:
+        f = to_a1(fan(3, [(2, 0, 1), (0, 2, 1), (-2, 0, 1), (0, -2, 1)], [(0, 1, 2, 3)]))
+        m = (Fraction(rng.randint(-1, 1), 8), Fraction(rng.randint(-1, 1), 8), Fraction(1, 2))
+        coeffs = [1 - sum(map(mul, m, v)) for v in f.source.rays]
+    u = random_gl(rng, f.source.rank)
+    f = morphism(mat_mul(f.matrix, unimodular_inverse(u)), twist_fan(f.source, u), f.target)
+    if kind < 3:
+        dens = [rng.randint(1, 7) for _ in f.source.rays]
+        coeffs = [Fraction(rng.randrange(d), d) for d in dens]
+    return f, divisor(f.source, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3))
+def test_relative_mld_enumeration_matches_fraction_scan(seed, kind):
+    """The cap-first scan of the faces over tau_z against the per-point
+    reference at every target cone, rays included: the same Exact value
+    and the same least (value, sup-norm, x) witness."""
+    f, b = enumeration_case(random.Random(seed), kind)
+    for tau in cones_of(f.target):
+        res = relative_mld(f, b, tau, Fraction(1, 2))
+        assert isinstance(res, Exact)
+        same(res, reference_relative_mld(f, b, tau, Fraction(1, 2)))
+
+
+def test_relative_mld_of_example_family_rank_4(monkeypatch):
+    """Over the base ray of example_family(3, 2), with every coefficient
+    1/4, the enumeration walks no parallelepiped (the cones' boxes hold
+    815 860 nonzero points)."""
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the enumeration walked a parallelepiped")
+
+    monkeypatch.setattr(cones, "capped_runs", no_walk)
+    monkeypatch.setattr(cones, "box_points", no_walk)
+    fibration._relative_analysis.cache_clear()
+    f = example_family(3, 2).f
+    b = divisor(f.source, [Fraction(1, 4)] * len(f.source.rays))
+    res = relative_mld(f, b, (0,), Fraction(1, 2))
+    assert res == Exact(Fraction(2709, 7220), (0, 0, 0, 1))
+
+
 def test_relative_mld_search_matches_fraction_scan(monkeypatch):
     """Every outcome of the radius search.  The search scans every cone over
     the base cone against one cap, taken from whichever cone gave the
@@ -406,19 +475,19 @@ def test_relative_mld_search_matches_fraction_scan(monkeypatch):
     such cones, the cap comes from another cone's functional than most of
     the cones scanned."""
     searched = []
-    pick = fibration._pick_witness
+    search = fibration._radius_search
 
-    def recording_pick(cands):
-        searched.append(len(cands))
-        return pick(cands)
+    def recording_search(src, a, start, eps, radius):
+        searched.append(start.lower < eps)
+        return search(src, a, start, eps, radius)
 
-    monkeypatch.setattr(fibration, "_pick_witness", recording_pick)
+    monkeypatch.setattr(fibration, "_radius_search", recording_search)
     kinds = []
     for seed in range(150):
         f, b, tau, eps, radius = relative_case(random.Random(seed), seed % 3)
         searched.clear()
         res = outcome(relative_mld, f, b, tau, eps, radius=radius)
-        if searched and not all(1 - c > 0 for c in b.coeffs):
+        if any(searched):
             same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius))
             kinds.append((seed % 3 < 2, type(res).__name__))
     assert kinds.count((True, "Exact")) >= 5
