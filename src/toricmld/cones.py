@@ -4,9 +4,13 @@ A cone is passed around as a tuple of integer generator vectors together
 with the ambient dimension (generators alone cannot tell the dimension when
 the tuple is empty).  H-representations are {x : E x = 0, F x >= 0} with
 integer primitive rows, found in Z^dim itself (no change of coordinates into
-the span): E is an integer kernel, and each facet normal is the vector of
-signed maximal minors of generators stacked with E.  They are cached on the
-(gens, dim) key in a bounded cache.
+the span).  Nearly every cone the fans hold is simplicial and
+full-dimensional: dim generators with det G != 0.  Its facet normals are
+the columns of sign(det G) adj(G), from one fraction-free elimination, and E
+is empty.  Every other input (lower-dimensional, rank-deficient or
+non-simplicial generators) takes the general path: E is an integer kernel,
+and each facet normal is the vector of signed maximal minors of generators
+stacked with E.  Both are cached on the (gens, dim) key in a bounded cache.
 
 ``cut`` and ``intersect`` are the double-description step.  They serve only
 tau ∩ im phi_R in ``fibration._is_proper`` and ``covered_by``; preimages of
@@ -122,13 +126,29 @@ def span_coordinates(basis: Mat, v) -> Vec:
 def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(equations, inequalities) with cone(gens) = {E x = 0, F x >= 0}.
 
-    A facet normal is the vector of signed maximal minors of d - 1
-    generators stacked with E, d = dim - len(E) the dimension of the span;
-    orthogonal to E, it lies in the span.  Subsets whose minors all vanish
-    span no hyperplane and are skipped.  A normal is kept, inward, unless
-    generators lie on both sides.
+    Full-dimensional simplicial cones (dim generators with det G != 0, G
+    the generators as rows) are read off one fraction-free elimination:
+    G adj(G) = det(G) I, so column i of sign(det G) adj(G) is >= 0 on every
+    generator and vanishes on all but the i-th, and its primitive multiple
+    is the inward normal of the facet without generator i; E is empty.
+
+    Every other input (fewer or more generators than dim, or dim of them
+    with det G = 0) takes the general path: E is an integer kernel, and a
+    facet normal is the vector of signed maximal minors of d - 1 generators
+    stacked with E, d = dim - len(E) the dimension of the span; orthogonal
+    to E, it lies in the span.  Subsets whose minors all vanish span no
+    hyperplane and are skipped.  A normal is kept, inward, unless
+    generators lie on both sides.  Both paths give the same answer on a
+    full-dimensional simplicial cone.
     """
     gens = tuple(g for g in gens if not is_zero(g))
+    if len(gens) == dim:
+        dg = det(gens)
+        if dg:
+            adj = adjugate(gens)
+            sign = 1 if dg > 0 else -1
+            normals = (primitive(tuple(sign * row[i] for row in adj)) for i in range(dim))
+            return (), tuple(sorted(normals))
     eqs = span_equations(gens, dim)
     if not gens:
         return eqs, ()
@@ -523,7 +543,12 @@ def _lattice_runs(points: Mat, vals, rows, cap: list, skip_zero: bool):
                     lo, hi = _bounds(levels[k], v, c)
                 t += inc
 
-    yield from lift(0, (), (0,) * dim, 0, skip_zero)
+    # lift refers to itself through its closure cell; dropping the name
+    # when the scan ends or is abandoned breaks that reference cycle
+    try:
+        yield from lift(0, (), (0,) * dim, 0, skip_zero)
+    finally:
+        del lift
 
 
 def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):

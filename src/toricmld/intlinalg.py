@@ -15,6 +15,9 @@ elimination of [a | I] is kept per matrix a (``_factor``, a bounded
 cache), and each right-hand side b costs integer dot products of the
 transform rows with the cleared numerators of b.
 
+``rank``, ``det`` and ``adjugate`` are integer Bareiss eliminations (each
+division by the previous pivot is exact) and build no normal form.
+
 Normal form conventions (fixed so serialized output is deterministic):
 
 * ``hermite_normal_form`` is row-style, ``U @ M = H`` with ``|det U| = 1``,
@@ -154,10 +157,27 @@ def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
 
 
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    h, _ = hermite_normal_form(m)
-    return sum(1 for row in h if any(x != 0 for x in row))
+    """Rank of an integer matrix by fraction-free row elimination (Bareiss)
+    with column skipping.  Each step keeps, of the rows not yet pivots, only
+    the nonzero ones and only their columns past the pivot column: after k
+    pivots, entry j of a row is the (k+1)-minor of m on the pivot rows with
+    that row and the pivot columns with column j, so each division by the
+    previous pivot is exact."""
+    rows = [row for row in m if any(row)]
+    r, prev = 0, 1
+    while rows:
+        c = min(next(j for j, x in enumerate(row) if x) for row in rows)
+        i = next(i for i, row in enumerate(rows) if row[c])
+        piv = rows.pop(i)
+        p, tail = piv[c], piv[c + 1 :]
+        rest = []
+        for row in rows:
+            f = row[c]
+            new = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], tail)]
+            if any(new):
+                rest.append(new)
+        rows, r, prev = rest, r + 1, p
+    return r
 
 
 def det(m: Mat) -> int:
@@ -184,20 +204,34 @@ def det(m: Mat) -> int:
 
 
 def adjugate(m: Mat) -> Mat:
-    """adj(m), with m @ adj(m) = det(m) I: entry (i, j) is (-1)^(i+j) times
-    the minor of m without row j and column i."""
+    """adj(m) of a nonsingular integer matrix, with m @ adj(m) = det(m) I,
+    by one fraction-free Gauss–Jordan pass over [m | I] (Bareiss): every
+    row is cleared at each pivot, so with P the row swaps the left block
+    ends as det(P m) I and the right block as det(P m) m^-1, which is adj(m)
+    up to the sign of P.  A 2 x 2 matrix takes the closed form.  Raises
+    DomainError when m is singular."""
     n = len(m)
-    if n == 1:
-        return ((1,),)
     if n == 2:
+        if m[0][0] * m[1][1] == m[0][1] * m[1][0]:
+            raise DomainError("adjugate of a singular matrix")
         return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * det(tuple(r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise DomainError("adjugate of a singular matrix")
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        piv = a[k][k:]
+        pk = piv[0]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[k:] = [(pk * x - f * y) // prev for x, y in zip(row[k:], piv)]
+        prev = pk
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def _nearest(a: int, b: int) -> int:

@@ -1,8 +1,10 @@
+import gc
 import math
 import operator
 import random
 from fractions import Fraction
 from itertools import accumulate, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -606,3 +608,56 @@ def test_capped_runs_match_capped_points(seed):
         and all(dot(f, x) > 0 for f in rows[1])
     ]
     assert expand_runs(runs) == want
+
+
+@st.composite
+def square_gen_sets(draw):
+    """dim generators in Z^dim, dim 1-5: random ones, mostly nonsingular,
+    or with one generator an integer combination of the others (or zero),
+    so that the set is singular."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    vec = st.lists(small, min_size=dim, max_size=dim).map(tuple)
+    gens = draw(st.lists(vec, min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, dim - 1))
+        others = gens[:i] + gens[i + 1 :]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=dim - 1, max_size=dim - 1))
+        gens[i] = tuple(sum(c * g[j] for c, g in zip(coeffs, others)) for j in range(dim))
+    return tuple(gens), dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_gen_sets())
+def test_hrep_of_square_generator_sets_matches_reference(case):
+    """A nonsingular square set takes the adjugate path and a singular one
+    the general path; both agree with the rational-lift reference."""
+    gens, dim = case
+    with patch.object(cones, "adjugate", wraps=cones.adjugate) as spy:
+        got = hrep.__wrapped__(gens, dim)
+    assert got == reference_hrep(gens, dim)
+    assert spy.called == (rank(gens) == dim)
+    if spy.called:
+        assert got[0] == () and len(got[1]) == dim
+
+
+def test_hrep_of_coplanar_rays_takes_the_general_path():
+    gens = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    with patch.object(cones, "adjugate", side_effect=AssertionError("adjugate of a singular set")):
+        got = hrep.__wrapped__(gens, 3)
+    assert got == reference_hrep(gens, 3) == (((0, 0, 1),), ((0, 1, 0), (1, 0, 0)))
+
+
+def test_scans_leave_no_reference_cycles():
+    """A finished box scan and a cone scan abandoned after one run leave
+    nothing for the cyclic garbage collector."""
+    gens = ((1, 0, 0), (0, 1, 0), (1, 2, 7))
+    gc.collect()
+    gc.disable()
+    try:
+        assert box_minimum(gens, 3, (1, 1, 1), (10**6, 0, ()))[0] < 10**6
+        runs = cone_runs(gens, 3, (1, 1, 1), [50])
+        next(runs)
+        del runs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,5 @@
-"""sympy as an independent oracle for intlinalg: solve_exact, det and the
-Smith normal form.  sympy is a test dependency only; without it these
+"""sympy as an independent oracle for intlinalg: solve_exact, det, rank,
+the adjugate and the Smith normal form.  sympy is a test dependency only; without it these
 tests are skipped."""
 
 from fractions import Fraction
@@ -12,7 +12,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 
-from toricmld.intlinalg import det, smith_normal_form, solve_exact  # noqa: E402
+from toricmld.errors import DomainError  # noqa: E402
+from toricmld.intlinalg import adjugate, det, rank, smith_normal_form, solve_exact  # noqa: E402
 
 ints = st.integers(min_value=-9, max_value=9)
 rationals = st.one_of(ints, st.fractions(min_value=-5, max_value=5, max_denominator=7))
@@ -69,6 +70,47 @@ def test_solve_exact_matches_sympy(a, data):
 @given(matrices(ints, max_rows=5, square=True))
 def test_det_matches_sympy(m):
     assert det(m) == to_sympy(m, len(m)).det()
+
+
+@st.composite
+def factored_matrices(draw):
+    """(A B, rows, cols) for a random rows x k factor A and k x cols factor
+    B, so that the rank is at most k: rank-deficient and non-square
+    matrices are common, and 0 rows or 0 columns occur."""
+    nrows, ncols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    a = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    cols = list(zip(*b)) if b else [()] * ncols
+    m = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    return m, nrows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_matrices())
+def test_rank_matches_sympy(case):
+    m, nrows, ncols = case
+    assert rank(m) == to_sympy(m, ncols).rank()
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = st.lists(st.lists(ints, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n)
+    return tuple(draw(rows.filter(lambda m: det(tuple(m)) != 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonsingular_matrices())
+def test_adjugate_matches_sympy(m):
+    expected = to_sympy(m, len(m)).adjugate()
+    assert adjugate(m) == tuple(tuple(int(x) for x in row) for row in expected.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(ints, max_rows=6, square=True).filter(lambda m: det(m) == 0))
+def test_adjugate_of_a_singular_matrix_raises(m):
+    with pytest.raises(DomainError):
+        adjugate(m)
 
 
 @settings(max_examples=150, deadline=None)
