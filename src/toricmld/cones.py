@@ -81,6 +81,7 @@ from .errors import NotACone
 from .intlinalg import (
     Mat,
     Vec,
+    _det_adjugate,
     adjugate,
     det,
     dot,
@@ -127,7 +128,8 @@ def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, .
     """(equations, inequalities) with cone(gens) = {E x = 0, F x >= 0}.
 
     Full-dimensional simplicial cones (dim generators with det G != 0, G
-    the generators as rows) are read off one fraction-free elimination:
+    the generators as rows) are read off one fraction-free elimination,
+    which gives det G and adj G together (``_det_adjugate``):
     G adj(G) = det(G) I, so column i of sign(det G) adj(G) is >= 0 on every
     generator and vanishes on all but the i-th, and its primitive multiple
     is the inward normal of the facet without generator i; E is empty.
@@ -143,9 +145,8 @@ def hrep(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, .
     """
     gens = tuple(g for g in gens if not is_zero(g))
     if len(gens) == dim:
-        dg = det(gens)
-        if dg:
-            adj = adjugate(gens)
+        dg, adj = _det_adjugate(gens)
+        if adj is not None:
             sign = 1 if dg > 0 else -1
             normals = (primitive(tuple(sign * row[i] for row in adj)) for i in range(dim))
             return (), tuple(sorted(normals))

@@ -7,14 +7,18 @@ tuples.  Faces are never stored; they are recovered through the cone
 toolkit on demand.
 
 ``validate_fan`` works from each maximal cone's own cached H-representation.
-A cone with independent generators is pointed with every ray extreme and
-needs no further test; other cones are tested for a line and for generators
-lying in the cone of the others.  Two cones meet in a common face iff some
-functional that is >= 0 on one and <= 0 on the other cuts both in the same
-face (the separation lemma); facet normals of the two cones and their
-differences are tried as that functional, and only a pair none of them
-certifies takes the H-representation of cone(σ_a ∪ -σ_b), which decides it
-exactly.
+A cone with independent generators (as many as the dimension of their span,
+read off the H-representation's equations) is pointed with every ray
+extreme and needs no further test; other cones are tested for a line and for
+generators lying in the cone of the others.  Two cones meet in a common face
+iff some functional that is >= 0 on one and <= 0 on the other cuts both in
+the same face (the separation lemma); facet normals of the two cones and
+their differences are tried as that functional.  The values of each pointed
+cone's facet normals on every ray of the fan are computed once per
+validation, and each candidate's values on a pair's extreme rays are read
+off them (a difference's as a difference of values).  Only a pair none of
+them certifies takes the H-representation of cone(σ_a ∪ -σ_b), which
+decides it exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
+from operator import add
 
 from . import cones
 from .errors import (
@@ -112,7 +117,7 @@ def validate_fan(f: Fan) -> tuple[tuple[str, str], ...]:
     extreme = {}
     for cone in f.max_cones:
         gens = f.cone_gens(cone)
-        if rank(gens) == len(gens):
+        if len(gens) + len(cones.hrep(gens, f.rank)[0]) == f.rank:
             # independent generators: the cone is pointed, every ray extreme
             pointed[cone] = True
             extreme[cone] = list(cone)
@@ -129,67 +134,73 @@ def validate_fan(f: Fan) -> tuple[tuple[str, str], ...]:
             else:
                 extreme[cone].append(i)
     ok_cones = [c for c in f.max_cones if pointed[c] and c]
+    values = {
+        c: [tuple(dot(m, r) for r in f.rays) for m in cones.hrep(f.cone_gens(c), f.rank)[1]]
+        for c in ok_cones
+    }
     for a in range(len(ok_cones)):
         for b in range(a + 1, len(ok_cones)):
-            if not _meet_in_common_face(f, ok_cones[a], ok_cones[b], extreme):
+            if not _meet_in_common_face(f, ok_cones[a], ok_cones[b], extreme, values):
                 out.append(("BadIntersection", f"cones {ok_cones[a]} and {ok_cones[b]}"))
     return tuple(out)
 
 
-def _meet_in_common_face(f: Fan, ca: tuple[int, ...], cb: tuple[int, ...], extreme) -> bool:
+def _meet_in_common_face(
+    f: Fan, ca: tuple[int, ...], cb: tuple[int, ...], extreme, values
+) -> bool:
     """Whether σ_a ∩ σ_b is a face of each, by the separation lemma
     (Cox–Little–Schenck, Lemma 1.2.13): it is iff some functional m with
     m >= 0 on σ_a and m <= 0 on σ_b cuts both in the same face.
 
     Certificates are tried first, read off the cones' own cached
     H-representations: the facet normals m_a of σ_a, the negated facet
-    normals -m_b of σ_b and the differences m_a - m_b.  One that passes
-    ``_separates_in_common_face`` proves the pair valid.  A pair that none
-    of them certifies (every invalid pair, and a valid pair whose
-    separating functionals are none of these) goes to the exact test: m0,
-    the sum of the facet normals of cone(σ_a ∪ -σ_b), lies in the relative
-    interior of the functionals >= 0 on σ_a and <= 0 on σ_b, so its
-    hyperplane cuts each cone in the smallest face any such functional
-    cuts, and the faces agree iff the cones meet in a common face.
+    normals -m_b of σ_b and the differences m_a - m_b.  values[c] holds the
+    values of c's facet normals on every ray of the fan, computed once per
+    validation, so a candidate's values on the pair's extreme rays are read
+    off those rows (those of m_a - m_b as differences of rows) and no
+    candidate is built.  One that passes ``_separates_in_common_face``
+    proves the pair valid.  A pair that none of them certifies (every
+    invalid pair, and a valid pair whose separating functionals are none of
+    these) goes to the exact test: m0, the sum of the facet normals of
+    cone(σ_a ∪ -σ_b), lies in the relative interior of the functionals >= 0
+    on σ_a and <= 0 on σ_b, so its hyperplane cuts each cone in the
+    smallest face any such functional cuts, and the faces agree iff the
+    cones meet in a common face.
     """
-    _, ineqs_a = cones.hrep(f.cone_gens(ca), f.rank)
-    _, ineqs_b = cones.hrep(f.cone_gens(cb), f.rank)
+    ea, eb = extreme[ca], extreme[cb]
+    rows_a = [([row[i] for i in ea], [row[i] for i in eb]) for row in values[ca]]
+    rows_b = [([-row[i] for i in ea], [-row[i] for i in eb]) for row in values[cb]]
     candidates = chain(
-        ineqs_a,
-        (tuple(-x for x in mb) for mb in ineqs_b),
-        (tuple(x - y for x, y in zip(ma, mb)) for ma, mb in product(ineqs_a, ineqs_b)),
+        rows_a,
+        rows_b,
+        (
+            (list(map(add, xa, ya)), list(map(add, xb, yb)))
+            for (xa, xb), (ya, yb) in product(rows_a, rows_b)
+        ),
     )
-    if any(_separates_in_common_face(f, m, ca, cb, extreme) for m in candidates):
+    if any(_separates_in_common_face(ea, eb, va, vb) for va, vb in candidates):
         return True
     k = f.cone_gens(ca) + tuple(tuple(-x for x in g) for g in f.cone_gens(cb))
     _, ineqs = cones.hrep(k, f.rank)
     m0 = tuple(sum(col) for col in zip(*ineqs)) if ineqs else (0,) * f.rank
-    return _separates_in_common_face(f, m0, ca, cb, extreme)
+    va = [dot(m0, f.rays[i]) for i in ea]
+    vb = [dot(m0, f.rays[i]) for i in eb]
+    return _separates_in_common_face(ea, eb, va, vb)
 
 
-def _separates_in_common_face(f: Fan, m, ca, cb, extreme) -> bool:
-    """m >= 0 on σ_a, m <= 0 on σ_b and σ_a ∩ m⊥ = σ_b ∩ m⊥; then
-    σ_a ∩ σ_b is that face, since m vanishes on every common point.
+def _separates_in_common_face(ea, eb, va, vb) -> bool:
+    """Given a functional m's values va on the extreme rays ea of σ_a and
+    vb on those eb of σ_b (by ray index): m >= 0 on σ_a, m <= 0 on σ_b and
+    σ_a ∩ m⊥ = σ_b ∩ m⊥; then σ_a ∩ σ_b is that face, since m vanishes on
+    every common point.
 
-    A pointed cone is spanned by its extreme rays (extreme, by ray index)
-    and a face by the extreme rays lying in it; the rays are distinct, so
-    the two faces are compared by index.
+    A pointed cone is spanned by its extreme rays and a face by the extreme
+    rays lying in it; the rays are distinct, so the two faces are compared
+    by index.
     """
-    fa = set()
-    for i in extreme[ca]:
-        v = dot(m, f.rays[i])
-        if v < 0:
-            return False
-        if v == 0:
-            fa.add(i)
-    fb = set()
-    for i in extreme[cb]:
-        v = dot(m, f.rays[i])
-        if v > 0:
-            return False
-        if v == 0:
-            fb.add(i)
-    return fa == fb
+    if min(va, default=0) < 0 or max(vb, default=0) > 0:
+        return False
+    return {i for i, v in zip(ea, va) if not v} == {i for i, v in zip(eb, vb) if not v}
 
 
 def support_contains(f: Fan, v) -> bool:

@@ -16,7 +16,10 @@ its rays mapping into tau, and f(sigma) ∩ tau is spanned by their images
 Properness is decided without generators of any preimage: over each maximal
 target cone, the source cones of full dimension in its preimage must glue
 along their walls up to the preimage's boundary hyperplanes, the argument
-``fans.is_complete`` uses for the whole space.
+``fans.is_complete`` uses for the whole space.  The images of the source
+rays are computed once per morphism (``ToricMorphism._ray_images``, kept on
+the instance outside its fields), and the compatibility test and the cover
+test of the properness check read them.
 
 What depends on the fans and f alone is computed once, in bounded caches:
 ``validate_morphism``, ``relative_mld``'s plan per (f, tau_z)
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import cones
 from .divisors import ToricDivisor, divisor, log_discrepancy_function, rel_trivial_witness
@@ -88,6 +91,12 @@ class ToricMorphism:
     def apply(self, v) -> Vec:
         return mat_vec(self.matrix, v)
 
+    @cached_property
+    def _ray_images(self) -> tuple[Vec, ...]:
+        """The images of the source rays, in ray order.  Kept on the
+        instance, outside the dataclass fields."""
+        return tuple(map(self.apply, self.source.rays))
+
 
 @dataclass(frozen=True)
 class MorphismDiagnostics:
@@ -111,9 +120,8 @@ def morphism(matrix, source: Fan, target: Fan, check: bool = True) -> ToricMorph
 
 
 def _image_in_cone(f: ToricMorphism, c: tuple[int, ...], tgens) -> bool:
-    return all(
-        cones.contains(tgens, f.target.rank, f.apply(g)) for g in f.source.cone_gens(c)
-    )
+    images = f._ray_images
+    return all(cones.contains(tgens, f.target.rank, images[i]) for i in c)
 
 
 def _compatible(f: ToricMorphism) -> bool:

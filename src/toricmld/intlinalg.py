@@ -16,7 +16,9 @@ cache), and each right-hand side b costs integer dot products of the
 transform rows with the cleared numerators of b.
 
 ``rank``, ``det`` and ``adjugate`` are integer Bareiss eliminations (each
-division by the previous pivot is exact) and build no normal form.
+division by the previous pivot is exact) and build no normal form; one
+Gauss–Jordan pass (``_det_adjugate``) gives the determinant and the
+adjugate together.
 
 Normal form conventions (fixed so serialized output is deterministic):
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, NotPrimitive, ZeroVector
 
@@ -54,7 +56,9 @@ def transpose(m):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def mat_vec(m, v):
@@ -72,7 +76,9 @@ def mat_mul(a, b):
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"sum of vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(add, u, v))
 
 
 def vec_scale(c, v):
@@ -80,12 +86,12 @@ def vec_scale(c, v):
 
 
 def is_zero(v) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def content(v: Vec) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    return math.gcd(*(abs(int(x)) for x in v)) if v else 0
+    return math.gcd(*map(int, v))
 
 
 def primitive(v: Vec) -> Vec:
@@ -203,24 +209,23 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(m: Mat) -> Mat:
-    """adj(m) of a nonsingular integer matrix, with m @ adj(m) = det(m) I,
-    by one fraction-free Gauss–Jordan pass over [m | I] (Bareiss): every
-    row is cleared at each pivot, so with P the row swaps the left block
-    ends as det(P m) I and the right block as det(P m) m^-1, which is adj(m)
-    up to the sign of P.  A 2 x 2 matrix takes the closed form.  Raises
-    DomainError when m is singular."""
+def _det_adjugate(m: Mat) -> tuple[int, Mat | None]:
+    """(det(m), adj(m)) of a square integer matrix by one fraction-free
+    Gauss–Jordan pass over [m | I] (Bareiss): every row is cleared at each
+    pivot, so with P the row swaps the left block ends as det(P m) I, the
+    last pivot, and the right block as det(P m) m^-1, which is adj(m) up to
+    the sign of P.  A 2 x 2 matrix takes the closed form.  adj is None, and
+    det 0, when the pass finds no pivot: m is singular."""
     n = len(m)
     if n == 2:
-        if m[0][0] * m[1][1] == m[0][1] * m[1][0]:
-            raise DomainError("adjugate of a singular matrix")
-        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+        d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return d, ((m[1][1], -m[0][1]), (-m[1][0], m[0][0])) if d else None
     a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
     sign, prev = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
         if p is None:
-            raise DomainError("adjugate of a singular matrix")
+            return 0, None
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
@@ -231,7 +236,17 @@ def adjugate(m: Mat) -> Mat:
                 f = row[k]
                 row[k:] = [(pk * x - f * y) // prev for x, y in zip(row[k:], piv)]
         prev = pk
-    return tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
+def adjugate(m: Mat) -> Mat:
+    """adj(m) of a nonsingular integer matrix, with m @ adj(m) = det(m) I,
+    from ``_det_adjugate``'s one elimination.  Raises DomainError when m is
+    singular."""
+    adj = _det_adjugate(m)[1]
+    if adj is None:
+        raise DomainError("adjugate of a singular matrix")
+    return adj
 
 
 def _nearest(a: int, b: int) -> int:

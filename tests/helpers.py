@@ -235,6 +235,23 @@ def outcome(call, *args, **kwargs):
         return (type(exc), str(exc))
 
 
+def reference_dot(u, v):
+    """The generator forms that ``intlinalg``'s vector kernels replaced."""
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def reference_is_zero(v) -> bool:
+    return all(x == 0 for x in v)
+
+
+def reference_content(v) -> int:
+    return math.gcd(*(abs(int(x)) for x in v)) if v else 0
+
+
+def reference_vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

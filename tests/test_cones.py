@@ -22,7 +22,7 @@ from helpers import (
     reference_hrep,
     reference_triangulate,
 )
-from toricmld import cones
+from toricmld import cones, intlinalg
 from toricmld.cones import (
     _irredundant,
     barycentric,
@@ -626,24 +626,39 @@ def square_gen_sets(draw):
     return tuple(gens), dim
 
 
+def hrep_with_adjugates(gens, dim):
+    """hrep's uncached answer and the adjugates its one elimination
+    (``_det_adjugate``) returned, None for a singular set."""
+    adjs = []
+
+    def spy(m):
+        out = intlinalg._det_adjugate(m)
+        adjs.append(out[1])
+        return out
+
+    with patch.object(cones, "_det_adjugate", spy):
+        return hrep.__wrapped__(gens, dim), adjs
+
+
 @settings(max_examples=300, deadline=None)
 @given(square_gen_sets())
 def test_hrep_of_square_generator_sets_matches_reference(case):
     """A nonsingular square set takes the adjugate path and a singular one
     the general path; both agree with the rational-lift reference."""
     gens, dim = case
-    with patch.object(cones, "adjugate", wraps=cones.adjugate) as spy:
-        got = hrep.__wrapped__(gens, dim)
+    got, adjs = hrep_with_adjugates(gens, dim)
     assert got == reference_hrep(gens, dim)
-    assert spy.called == (rank(gens) == dim)
-    if spy.called:
+    used = adjs not in ([], [None])  # a zero generator leaves fewer than dim
+    assert len(adjs) <= 1 and used == (rank(gens) == dim)
+    if used:
         assert got[0] == () and len(got[1]) == dim
 
 
 def test_hrep_of_coplanar_rays_takes_the_general_path():
     gens = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
     with patch.object(cones, "adjugate", side_effect=AssertionError("adjugate of a singular set")):
-        got = hrep.__wrapped__(gens, 3)
+        got, adjs = hrep_with_adjugates(gens, 3)
+    assert adjs == [None]
     assert got == reference_hrep(gens, 3) == (((0, 0, 1),), ((0, 1, 0), (1, 0, 0)))
 
 

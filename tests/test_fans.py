@@ -1,10 +1,12 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from toricmld import cones, fans
 from toricmld.cones import contains, covered_by, hrep
 from toricmld.errors import (
     NonSimplicialCone,
@@ -125,15 +127,30 @@ def test_validate_fan_matches_reference(seed):
 
 def test_validate_fan_matches_reference_sweep():
     """Seeds 0-199 of random_fan_input give the reference's violation tuples,
-    and every outcome the pair check decides occurs."""
+    every outcome the pair check decides occurs, and both branches of the
+    pair test run: some pairs are certified by a facet functional, and some
+    reach the exact fallback, the hrep of cone(σ_a ∪ -σ_b)."""
     seen = {"valid": 0, "BadIntersection": 0, "NotPointed": 0, "RedundantGenerator": 0}
+    pairs = fallbacks = 0
     for seed in range(200):
         f = helpers.random_fan_input(random.Random(seed))
-        got = validate_fan(f)
+        with (
+            patch.object(fans, "_meet_in_common_face", wraps=fans._meet_in_common_face) as meet,
+            patch.object(cones, "hrep", wraps=cones.hrep) as hrep_spy,
+        ):
+            got = validate_fan(f)
+            checked = [c.args[1:3] for c in meet.call_args_list]
+            hreps = {c.args[0] for c in hrep_spy.call_args_list}
         assert got == helpers.reference_validate_fan(f), seed
         for code in codes(got) if got else {"valid"}:
             seen[code] += 1
+        pairs += len(checked)
+        fallbacks += sum(
+            f.cone_gens(ca) + tuple(tuple(-x for x in g) for g in f.cone_gens(cb)) in hreps
+            for ca, cb in checked
+        )
     assert min(seen.values()) >= 10, seen
+    assert 0 < fallbacks < pairs, (fallbacks, pairs)
 
 
 def test_unused_ray():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from toricmld.fibration import (
     CertifiedAtLeast,
     Exact,
     Indeterminate,
+    ToricMorphism,
     Witness,
     average_boundary,
     discriminant_divisor,
@@ -51,6 +53,7 @@ from toricmld.fibration import (
     validate_morphism,
 )
 from toricmld.intlinalg import dot, identity, mat_mul, mat_vec
+from toricmld.serialize import jsonable
 from toricmld.singularities import MINUS_INFINITY, global_mld
 
 
@@ -441,3 +444,18 @@ def test_lp_invariants_under_source_coordinates(seed):
             assert sorted(pullback_multiplicities(g, w)) == sorted(
                 (mat_vec(u, v), c) for v, c in pullback_multiplicities(f, w)
             )
+
+
+def test_ray_images_are_cached_outside_the_fields():
+    """The cached images of the source rays are f.apply of each ray, are no
+    dataclass field, and leave equality, hashing and serialization alone."""
+    family = example_family(2, 2)
+    f = family.f
+    g = morphism(f.matrix, f.source, f.target, check=False)
+    assert "_ray_images" not in g.__dict__
+    doc = jsonable(g)
+    assert f._ray_images == tuple(f.apply(r) for r in f.source.rays)
+    assert "_ray_images" in f.__dict__ and "_ray_images" not in g.__dict__
+    assert "_ray_images" not in {x.name for x in dataclasses.fields(ToricMorphism)}
+    assert f == g and hash(f) == hash(g)
+    assert jsonable(f) == doc == jsonable(g)

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from toricmld.errors import DomainError, NotPrimitive, ZeroVector
 from toricmld.intlinalg import (
+    _det_adjugate,
+    adjugate,
+    content,
     det,
+    dot,
     hermite_normal_form,
     identity,
     is_primitive,
+    is_zero,
     kernel_basis,
     lll_reduce,
     mat_mul,
@@ -22,6 +28,7 @@ from toricmld.intlinalg import (
     smith_normal_form,
     solve_exact,
     transpose,
+    vec_add,
 )
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -260,3 +267,68 @@ def test_lll_reduce_is_unimodular_size_reduced_and_lovasz(n, extra, seed):
 def test_lll_reduce_rejects_dependent_vectors():
     with pytest.raises(DomainError):
         lll_reduce(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+
+
+scalars = st.one_of(ints, st.fractions(min_value=-30, max_value=30, max_denominator=7))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two int or Fraction vectors of one length, 0-5."""
+    n = draw(st.integers(0, 5))
+    vec = st.lists(scalars, min_size=n, max_size=n).map(tuple)
+    return draw(vec), draw(vec)
+
+
+@settings(max_examples=300)
+@given(vector_pairs())
+def test_vector_kernels_match_generator_forms(pair):
+    """dot, is_zero, content and vec_add on int and Fraction vectors of
+    length 0-5 agree, value and type, with the generator forms they
+    replaced."""
+    u, v = pair
+    for got, want in (
+        (dot(u, v), helpers.reference_dot(u, v)),
+        (is_zero(u), helpers.reference_is_zero(u)),
+        (is_zero(tuple(0 * x for x in u)), True),
+        (content(u), helpers.reference_content(u)),
+        (vec_add(u, v), helpers.reference_vec_add(u, v)),
+    ):
+        assert got == want and type(got) is type(want)
+        if isinstance(got, tuple):
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_length_mismatch_raises():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        dot((1, 2, 3), (1, 2))
+    with pytest.raises(ValueError):
+        vec_add((1, 2), (1,))
+    with pytest.raises(ValueError):
+        mat_vec(((1, 2, 3), (4, 5)), (1, 1, 1))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+            min_size=n,
+            max_size=n,
+        ).map(tuple)
+    )
+)
+def test_one_pass_det_adjugate_matches_det_and_adjugate(m):
+    """_det_adjugate gives det's value, and adjugate's matrix exactly when
+    the matrix is nonsingular (None otherwise)."""
+    d, adj = _det_adjugate(m)
+    assert d == det(m)
+    if d:
+        assert adj == adjugate(m)
+        assert mat_mul(m, adj) == tuple(tuple(d * x for x in row) for row in identity(len(m)))
+    else:
+        assert adj is None
+        with pytest.raises(DomainError):
+            adjugate(m)
