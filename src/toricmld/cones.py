@@ -35,34 +35,33 @@ max, exact division by N by each coordinate column's remainders, and one
 distinct point per coset by the size of the point set.  ``values_at``
 evaluates a functional over the points' coordinate columns in the same way.
 What depends on the simplex alone (the rank check, the generator matrix in
-its span lattice, |det|, the Smith form's residue steps) is
-cached per simplex in bounded caches (``_box_lattice``,
-``_residue_steps``), O(d^2) integers each; the residues, the points and the
-checks are made on every call.
+its span lattice, |det| and sign(det) adj from one elimination, the Smith
+form's residue steps) is cached per simplex in bounded caches
+(``_box_lattice``, ``_residue_steps``), O(d^2) integers each; the residues,
+the points and the checks are made on every call.
 
 ``box_runs`` scans the box points under a cap on a linear functional
 without building the box: on an LLL-reduced basis of the lattice, the 2d + 1
 rows (box and cap) are eliminated once by Fourier–Motzkin and the points are
 lifted one coordinate at a time, the last coordinate one run at a time
 (``_lattice_runs``).  ``cone_runs`` scans the lattice points of the closed
-simplicial cone under a cap in the same way, with the rows t >= 0, the cap
-and F x >= 1 for each given row F (with the inequalities of a cone's
-H-representation, its relative interior).  The reduced basis of each
-simplex is cached (``_reduced_lattice``, on top of ``_box_lattice``'s span
-basis, V and |det V|); the elimination depends on the functional and is
-done per call.  ``least_key`` is the one fold of the scans whose answer
+simplicial cone under a cap in the same way, with the rows t >= 0, the cap,
+t_i < 2 on each generator where the functional vanishes (which keeps every
+value it takes) and F x >= 1 for each given row F (with the inequalities of
+a cone's H-representation, its relative interior).  The reduced basis of
+each simplex is cached (``_reduced_lattice``, on top of ``_box_lattice``'s
+span basis, |det V| and s adj V); the elimination depends on the functional
+and is done per call.  ``least_key`` is the one fold of the scans whose answer
 does not depend on scan order: it keeps the least (value, sup-norm, x) key
 (``point_key``) over runs, builds only the least end of a run (all of it
 when its step is 0) and lowers the cap to each better value, which the
 scans read between runs.  ``box_minimum`` folds ``box_runs`` with it.
 
 ``capped_runs`` walks the same points of a simplicial cone as box points
-plus multiples of the generators, under a cap on a linear functional, and
-also where the functional vanishes on a generator (up to a fixed number of
-its multiples).  It stays for the two scans whose result follows the walk's
-order: the zero branch of ``singularities.mld_at_cone`` (it counts every
-element of the walk and returns the first zero) and the radius search of
-``fibration.relative_mld`` (it charges its budget in walk order).  It walks
+plus at most radius multiples of each generator, under a cap on a linear
+functional, which may vanish on a generator.  It stays for the one scan
+whose result follows the walk's order: the radius search of
+``fibration.relative_mld``, which charges its budget in walk order.  It walks
 one run at a time: all coefficients but the last are fixed, so the capped
 functional and each row of an H-representation (E x = 0, F x > 0) are
 arithmetic progressions in the last one, and floor division gives the
@@ -82,8 +81,6 @@ from .intlinalg import (
     Mat,
     Vec,
     _det_adjugate,
-    adjugate,
-    det,
     dot,
     identity,
     is_zero,
@@ -325,19 +322,21 @@ def barycentric(gens: tuple[Vec, ...], x):
 
 
 @lru_cache(maxsize=4096)
-def _box_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[Mat, Mat, int]:
-    """(basis, V, |det V|) for independent gens: basis is a basis (rows) of
-    the saturated lattice of their span and V's columns are the generators
-    in it."""
+def _box_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[Mat, Mat, int, Mat]:
+    """(basis, V, |det V|, s adj V) for independent gens: basis is a basis
+    (rows) of the saturated lattice of their span, V's columns are the
+    generators in it and s = sign det V.  det V and adj V come from one
+    fraction-free elimination (``_det_adjugate``)."""
     full = len(gens) == dim  # then the basis is Z^dim's and det V decides independence
     if not full and rank(gens) != len(gens):
         raise NotACone("parallelepiped needs independent generators")
     basis = identity(dim) if full else span_lattice_basis(gens, dim)
     vmat = transpose(gens if full else tuple(span_coordinates(basis, g) for g in gens))
-    dv = det(vmat)
-    if dv == 0:
+    dv, adj = _det_adjugate(vmat)
+    if adj is None:
         raise NotACone("parallelepiped needs independent generators")
-    return basis, vmat, abs(dv)
+    sadj = adj if dv > 0 else tuple(tuple(-c for c in row) for row in adj)
+    return basis, vmat, abs(dv), sadj
 
 
 def box_size(gens: tuple[Vec, ...], dim: int) -> int:
@@ -414,7 +413,7 @@ def box_points(gens: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     """
     if not gens:
         return ((0,) * dim,)
-    _, vmat, index = _box_lattice(tuple(map(tuple, gens)), dim)
+    _, vmat, index, _ = _box_lattice(tuple(map(tuple, gens)), dim)
     n, residues = _box_residues(vmat)
     if any(min(col) < 0 or max(col) >= n for col in residues):
         raise AssertionError("box point fell outside the half-open box")
@@ -455,6 +454,8 @@ def _eliminate(rows, d: int):
                 a = tuple(sp * x + sn * y for x, y in zip(ap, an))
                 beta, gamma = sp * bp + sn * bn, sp * gp + sn * gn
                 g = math.gcd(*a, beta, gamma)
+                if not g:  # 0 <= 0
+                    continue
                 rows.add((tuple(x // g for x in a), beta // g, gamma // g, mask))
     levels[0] = tuple((a[0], (), beta, gamma) for a, beta, gamma, _ in rows if a[0])
     return tuple((beta, gamma) for a, beta, gamma, _ in rows if not a[0]), levels
@@ -483,16 +484,13 @@ def _line_point(x, step, t) -> Vec:
 
 @lru_cache(maxsize=4096)
 def _reduced_lattice(gens: tuple[Vec, ...], dim: int) -> tuple[int, Mat, Mat]:
-    """(|det V|, points, z) for independent gens: the rows of H s adj V,
-    LLL-reduced (``lll_reduce``) and reversed so that the shortest comes
-    last, define new coordinates of the span lattice.  points[k] is the
-    k-th basis vector in Z^dim, and z[i][k] its (s adj V y)_i, where y are
-    the span coordinates and s = sign det V; the simplex's coefficients
-    are t = z / |det V|."""
-    basis, vmat, index = _box_lattice(gens, dim)
-    sadj = adjugate(vmat)
-    if dot(vmat[0], [row[0] for row in sadj]) < 0:  # (V adj V)[0][0] = det V
-        sadj = tuple(tuple(-c for c in row) for row in sadj)
+    """(|det V|, points, z) for independent gens: the rows of H s adj V
+    (``_box_lattice``'s), LLL-reduced (``lll_reduce``) and reversed so that
+    the shortest comes last, define new coordinates of the span lattice.
+    points[k] is the k-th basis vector in Z^dim, and z[i][k] its
+    (s adj V y)_i, where y are the span coordinates and s = sign det V; the
+    simplex's coefficients are t = z / |det V|."""
+    basis, _, index, sadj = _box_lattice(gens, dim)
     order = lll_reduce(transpose(sadj))[::-1]
     points = tuple(tuple(sum(map(mul, u, col)) for col in zip(*basis)) for u in order)
     z = tuple(tuple(dot(srow, u) for u in order) for srow in sadj)
@@ -579,21 +577,28 @@ def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
 
 
 def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: list, ineqs=()):
-    """The lattice points x of the closed simplicial cone over gens with
-    m·x <= cap[0] and F x >= 1 for each row F of ineqs, one run at a time,
-    as ``box_runs`` yields them; gens must be nonempty and linearly
-    independent, and m positive on each of them, so that the points are
-    finitely many.  The caller may lower cap[0] between runs.
+    """The lattice points x = Σ t_i g_i of the closed simplicial cone over
+    gens with m·x <= cap[0], t_i < 2 for each g_i with m·g_i = 0 and
+    F x >= 1 for each row F of ineqs, one run at a time, as ``box_runs``
+    yields them; gens must be nonempty and linearly independent, and m
+    nonnegative on each of them, so that the points are finitely many.  The
+    caller may lower cap[0] between runs.
 
     The rows are those of ``box_runs`` without the upper box bounds,
-    (s adj V y)_i >= 0, and one row per F: with the inequalities of the
-    H-representation of a cone tau whose span is that of gens, the points
-    are those of relint(tau), since F x > 0 is F x >= 1 on lattice points.
+    (s adj V y)_i >= 0, the upper bound (s adj V y)_i <= 2|det V| - 1 for
+    each generator at level zero, and one row per F: with the inequalities
+    of the H-representation of a cone tau whose span is that of gens, the
+    points are those of relint(tau), since F x > 0 is F x >= 1 on lattice
+    points.  The bound t_i < 2 keeps every value m takes there: if
+    t_i >= 2 on a g_i with m·g_i = 0, x - g_i has t_i - 1 >= 1, the same
+    value, and F(x - g_i) >= F g_i >= 1 wherever F g_i > 0 (F x >= t_i F g_i,
+    as F >= 0 on the generators), F x unchanged elsewhere.
     """
-    _, points, z = _reduced_lattice(tuple(map(tuple, gens)), dim)
+    index, points, z = _reduced_lattice(tuple(map(tuple, gens)), dim)
     vals = [dot(m, x) for x in points]
     rows = [(tuple(vals), 0, 1)]
     rows.extend((tuple(-c for c in zi), 0, 0) for zi in z)
+    rows.extend((zi, 2 * index - 1, 0) for zi, g in zip(z, gens) if not dot(m, g))
     rows.extend((tuple(-dot(row, x) for x in points), -1, 0) for row in ineqs)
     yield from _lattice_runs(points, vals, rows, cap, False)
 
@@ -652,20 +657,20 @@ def _run_point(b, ks, cols, last, k) -> Vec:
     return tuple(c + sum(map(mul, ks, col)) + k * g for c, col, g in zip(b, cols, last))
 
 
-def capped_runs(gens: tuple[Vec, ...], dim: int, m, capn: int, rows, zero_cap: int = 0, cap=None):
+def capped_runs(gens: tuple[Vec, ...], dim: int, m, capn: int, rows, radius: int):
     """The lattice points x = b + Σ k_i g_i of the simplicial cone over gens,
     b a box point, one run at a time; gens must be nonempty and linearly
     independent.
 
-    k_i runs up to (capn - m·b) // m·g_i where m·g_i > 0, and no further
-    than cap when cap is given; it runs up to zero_cap where m·g_i <= 0.  The
-    k are walked in itertools.product order, and a run is every k sharing
-    all coordinates but the last.  Along a run m·x and each row's value are
-    arithmetic progressions in the last coefficient k, so with
-    rows = (E, F) each run is yielded as (size, lo, hi, n0, step, point):
-    size elements, of which those with lo <= k <= hi satisfy m·x <= capn,
-    E x = 0 and F x > 0; m·x = n0 + step*k; point(k) builds x.  Each row's
-    values on the generators and on the box points are taken once.
+    k_i runs up to min((capn - m·b) // m·g_i, radius) where m·g_i > 0, and
+    up to radius where m·g_i <= 0.  The k are walked in itertools.product
+    order, and a run is every k sharing all coordinates but the last.
+    Along a run m·x and each row's value are arithmetic progressions in the
+    last coefficient k, so with rows = (E, F) each run is yielded as
+    (size, lo, hi, n0, step, point): size elements, of which those with
+    lo <= k <= hi satisfy m·x <= capn, E x = 0 and F x > 0;
+    m·x = n0 + step*k; point(k) builds x.  Each row's values on the
+    generators and on the box points are taken once.
     """
     eqs, ineqs = rows
     *pre, last = gens
@@ -679,15 +684,7 @@ def capped_runs(gens: tuple[Vec, ...], dim: int, m, capn: int, rows, zero_cap: i
     cols = [tuple(g[j] for g in pre) for j in range(dim)]
     for j, b in enumerate(boxes):
         base = table[0][3][j]
-        ranges = []
-        for v in vals:
-            if v > 0:
-                hi = (capn - base) // v
-                if cap is not None:
-                    hi = min(hi, cap)
-            else:
-                hi = zero_cap
-            ranges.append(range(hi + 1))
+        ranges = [range(min((capn - base) // v, radius) + 1 if v > 0 else radius + 1) for v in vals]
         size = len(ranges.pop())
         if not size:
             continue

@@ -522,9 +522,7 @@ def _radius_search(src: Fan, a, start: _SearchStart, eps: Fraction, radius: int)
         run
         for k in start.relevant
         for simplex in _triangulated(src)[k]
-        for run in cones.capped_runs(
-            src.cone_gens(simplex), nx, nums[k], capn, start.rows, zero_cap=radius, cap=radius
-        )
+        for run in cones.capped_runs(src.cone_gens(simplex), nx, nums[k], capn, start.rows, radius)
     )
     for size, lo, hi, n0, step, point in runs:
         hi = min(hi, budget - 1)

@@ -10,22 +10,18 @@ regions are finite and enumerable.
 Every scan walks simplices of the triangulated cones.  ``global_mld``
 builds no box: ``cones.box_minimum`` scans only the box points under the
 best value so far, and the count covers every box point but the zero one
-(|det V| - 1 per simplex).  ``mld_at_cone`` with A positive on the
+(|det V| - 1 per simplex).  ``mld_at_cone`` with A nonnegative on the
 generators of tau builds no box either: ``cones.cone_runs`` scans the
-points of relint(tau) under the value at p0 = Σ g_i in each simplex, and
+points of relint(tau) under the value at p0 = Σ g_i in each simplex, with
+t_i < 2 on each generator where A vanishes (a point with t_i >= 2 there
+has the same value as the point of relint(tau) one generator lower), and
 the count is their number, once per simplex that holds them.  Its witness
 is p0 when nothing goes below it, and otherwise the point at the least
 value that the walk of box points plus multiples of the generators meets
-first (``_walk_first``, taken only when distinct points tie).  When A
-vanishes at a generator, ``mld_at_cone`` still walks boxes, with
-``cones.capped_runs`` (lattice points under a cap, one run of the last
-generator's multiples at a time), passing it the H-representation of
-relint(tau): it counts every element of the walk, above the cap too, and
-its witness is the first zero the walk meets, so both follow the walk's
-order.  The scans compare integers: A is taken as integer
-numerators over one common denominator (``PLFunction.integral``), a cap
-becomes ``floor(cap * den)``, and a Fraction is built only for the value
-returned.
+first (``_walk_first``, taken only when distinct points tie).  The scans
+compare integers: A is taken as integer numerators over one common
+denominator (``PLFunction.integral``), a cap becomes ``floor(cap * den)``,
+and a Fraction is built only for the value returned.
 """
 
 from __future__ import annotations
@@ -54,16 +50,12 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 
-# multiples of each zero-level generator mld_at_cone probes for attainment
-_ZERO_CAP = 3
-
-
 @dataclass(frozen=True)
 class MldReport:
     value: object
     witness: Vec | None
     enumerated_count: int
-    status: str  # "exact" | "minus_infinity" | "zero_on_boundary_infimum"
+    status: str  # "exact" | "minus_infinity"
 
 
 def log_discrepancy(f: Fan, b: ToricDivisor, v) -> Fraction:
@@ -138,11 +130,11 @@ def _walk_first(simplices, dim: int, tied) -> Vec:
 def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     """Minimum of A over nonzero lattice points of relint(tau).
 
-    With A positive on the generators the sublevel region is bounded and the
-    result is exact.  When A vanishes at some generator (but is nonnegative),
-    the closed-cone infimum is reported; if a relative-interior witness
-    attaining it is found within a small search cap the result is still
-    exact, otherwise the status marks the value as an infimum bound.
+    With A nonnegative on the generators the minimum is attained and the
+    result is exact: the points of each simplex under the value at p0 are
+    finitely many once t_i < 2 on the generators where A vanishes, and that
+    bound keeps the least value.  A negative value at a generator gives
+    -infinity, with a point of relint(tau) where A is negative.
     """
     tau = tuple(sorted(set(tau)))
     if not tau:
@@ -154,7 +146,6 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     m = _cone_numerators(f, nums, tau)
     gens = f.cone_gens(tau)
     vals = [dot(m, g) for g in gens]
-    count = 0
 
     if any(v < 0 for v in vals):
         g_neg = gens[next(i for i, v in enumerate(vals) if v < 0)]
@@ -168,55 +159,24 @@ def mld_at_cone(f: Fan, b: ToricDivisor, tau: tuple[int, ...]) -> MldReport:
     capn = dot(m, p0)
     best_n, best_wit = capn, p0
     simplices = [tuple(gens[i] for i in t) for t in cones.triangulate(gens, f.rank)]
-
-    # relint(tau) = {E x = 0, F x > 0}, which excludes 0
-    rows = cones.hrep(gens, f.rank)
-
-    if all(v > 0 for v in vals):
-        # the runs of every simplex hold the points of relint(tau) under the
-        # cap, once per simplex that contains them; tied keeps the runs'
-        # points at the least value found below capn
-        tied = []
-        for j, sgens in enumerate(simplices):
-            for lo, hi, n0, step, point in cones.cone_runs(sgens, f.rank, m, [capn], rows[1]):
-                count += hi - lo + 1
-                if step:
-                    lo = hi = lo if step > 0 else hi
-                n = n0 + step * lo
-                if n < best_n:
-                    best_n, tied = n, []
-                if n == best_n < capn:
-                    tied.append((j, lo, hi, point))
-        if tied:
-            best_wit = _walk_first(simplices, f.rank, tied)
-        return MldReport(Fraction(best_n, den), best_wit, count, "exact")
-
-    # some generators sit at level zero: the closed infimum comes from the
-    # parallelepiped scan, attainment is probed with capped coefficients on
-    # the zero directions.  Every element of the walk is counted, including
-    # those above the cap, but its first: as capn >= 0, every k range of the
-    # zero box point is nonempty, so the walk starts at the zero point.  A
-    # is >= 0 on the generators, so the least value along a run is at its lo
-    closed = Fraction(0)
-    found = None
-    for sgens in simplices:
-        count -= 1
-        for size, lo, hi, n0, step, point in cones.capped_runs(
-            sgens, f.rank, m, capn, rows, _ZERO_CAP
-        ):
-            count += size
-            if lo > hi:
-                continue
-            if n0 + step * lo < best_n:
-                best_n, best_wit = n0 + step * lo, point(lo)
-            if found is None:
-                zlo, zhi = cones.progression_interval(lo, hi, n0, step, 0)
-                if zlo <= zhi:
-                    found = point(zlo)
-    if best_n == 0 or found is not None:
-        wit = found if found is not None else best_wit
-        return MldReport(closed, wit, count, "exact")
-    return MldReport(closed, None, count, "zero_on_boundary_infimum")
+    # relint(tau) = {E x = 0, F x > 0}, which excludes 0; the runs of every
+    # simplex hold its points under the cap, once per simplex that contains
+    # them; tied keeps the runs' points at the least value found below capn
+    ineqs = cones.hrep(gens, f.rank)[1]
+    count, tied = 0, []
+    for j, sgens in enumerate(simplices):
+        for lo, hi, n0, step, point in cones.cone_runs(sgens, f.rank, m, [capn], ineqs):
+            count += hi - lo + 1
+            if step:
+                lo = hi = lo if step > 0 else hi
+            n = n0 + step * lo
+            if n < best_n:
+                best_n, tied = n, []
+            if n == best_n < capn:
+                tied.append((j, lo, hi, point))
+    if tied:
+        best_wit = _walk_first(simplices, f.rank, tied)
+    return MldReport(Fraction(best_n, den), best_wit, count, "exact")
 
 
 def is_eps_lc(f: Fan, b: ToricDivisor, eps: Fraction) -> bool:

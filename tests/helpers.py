@@ -703,15 +703,14 @@ def gens_with_invariant_factors(rng: random.Random, factors, dim: int):
 # and fibration.  The run-at-a-time walk is compared with them.
 
 
-def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int = 0, cap=None):
+def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, radius: int):
     """Lattice points x = b + Σ k_i g_i of the simplicial cone over gens, b a
     box point, as pairs (m·x, x); gens must be linearly independent.
 
-    k_i runs up to (capn - m·b) // m·g_i where m·g_i > 0, and no further
-    than cap when cap is given; it runs up to zero_cap where m·g_i <= 0.  The
-    k are walked in itertools.product order.  A pair with m·x > capn is
-    yielded as (m·x, None) without building the point, so that callers can
-    still count it.
+    k_i runs up to min((capn - m·b) // m·g_i, radius) where m·g_i > 0, and
+    up to radius where m·g_i <= 0.  The k are walked in itertools.product
+    order.  A pair with m·x > capn is yielded as (m·x, None) without
+    building the point, so that callers can still count it.
     """
     vals = [dot(m, g) for g in gens]
     cols = [tuple(g[j] for g in gens) for j in range(dim)]
@@ -719,12 +718,7 @@ def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, zero_cap: int =
     for b, base in zip(boxes, values_at(m, boxes)):
         ranges = []
         for v in vals:
-            if v > 0:
-                hi = (capn - base) // v
-                if cap is not None:
-                    hi = min(hi, cap)
-            else:
-                hi = zero_cap
+            hi = min((capn - base) // v, radius) if v > 0 else radius
             ranges.append(range(hi + 1))
         for ks in product(*ranges):
             n = base + sum(map(mul, ks, vals))
@@ -747,13 +741,14 @@ def expand_runs(runs):
 def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
     """All nonzero lattice points of the support with A <= cap, each with
     the numerator ``den * A(x)`` for ``den = a.integral()[0]``,
-    deduplicated; A must be positive at every ray."""
+    deduplicated; A must be positive at every ray, so that the radius capn
+    bounds no multiple of a generator under the cap."""
     den, nums = a.integral()
     capn = math.floor(cap * den)
     seen = set()
     for m, simplices in zip(nums, _triangulated(f)):
         for simplex in simplices:
-            for n, x in capped_points(f.cone_gens(simplex), f.rank, m, capn):
+            for n, x in capped_points(f.cone_gens(simplex), f.rank, m, capn, capn):
                 if x is None or is_zero(x) or x in seen:
                     continue
                 seen.add(x)
@@ -783,13 +778,15 @@ def _relint_test(eq_src, ineq_src):
 
 
 def _reference_simplex_points_below(f: Fan, simplex, fn, cap: Fraction):
+    """Points b + Σ n_i g_i of the simplex with fn <= cap, b a box point, in
+    walk order; n_i <= 1 on each generator where fn vanishes."""
     gens = f.cone_gens(simplex)
     vals = [Fraction(dot(fn, g)) for g in gens]
     for b in box_points(gens, f.rank):
         base = Fraction(dot(fn, b))
         if base > cap:
             continue
-        bounds = [int((cap - base) / v) for v in vals]
+        bounds = [int((cap - base) / v) if v else 1 for v in vals]
         for ns in product(*(range(k + 1) for k in bounds)):
             if sum(n * v for n, v in zip(ns, vals)) + base > cap:
                 continue
@@ -854,7 +851,7 @@ def reference_global_mld(f: Fan, b: ToricDivisor) -> MldReport:
     return MldReport(best[0], best[2], count, "exact")
 
 
-def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau, zero_cap: int = 3) -> MldReport:
+def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau) -> MldReport:
     tau = tuple(sorted(set(tau)))
     if not tau:
         raise DomainError("the minimal log discrepancy at a cone needs dimension >= 1")
@@ -878,50 +875,15 @@ def reference_mld_at_cone(f: Fan, b: ToricDivisor, tau, zero_cap: int = 3) -> Ml
     best_val, best_wit = cap, p0
     simplices = [tuple(tau[i] for i in t) for t in triangulate(gens, f.rank)]
 
-    if all(v > 0 for v in vals):
-        for simplex in simplices:
-            for x in _reference_simplex_points_below(f, simplex, fn, cap):
-                if is_zero(x) or not relint_contains(gens, f.rank, x):
-                    continue
-                count += 1
-                val = Fraction(dot(fn, x))
-                if val < best_val:
-                    best_val, best_wit = val, x
-        return MldReport(best_val, best_wit, count, "exact")
-
-    closed = Fraction(0)
-    found = None
     for simplex in simplices:
-        sgens = f.cone_gens(simplex)
-        svals = [Fraction(dot(fn, g)) for g in sgens]
-        for bpt in box_points(sgens, f.rank):
-            base = Fraction(dot(fn, bpt))
-            ranges = []
-            for v in svals:
-                if v > 0:
-                    hi = int((cap - base) / v) if cap >= base else -1
-                else:
-                    hi = zero_cap
-                ranges.append(range(hi + 1))
-            for ns in product(*ranges):
-                x = bpt
-                for n, g in zip(ns, sgens):
-                    if n:
-                        x = vec_add(x, vec_scale(n, g))
-                if is_zero(x):
-                    continue
-                count += 1
-                val = Fraction(dot(fn, x))
-                if not relint_contains(gens, f.rank, x):
-                    continue
-                if val < best_val:
-                    best_val, best_wit = val, x
-                if val == closed and found is None:
-                    found = x
-    if best_val == closed or found is not None:
-        wit = found if found is not None else best_wit
-        return MldReport(closed, wit, count, "exact")
-    return MldReport(closed, None, count, "zero_on_boundary_infimum")
+        for x in _reference_simplex_points_below(f, simplex, fn, cap):
+            if is_zero(x) or not relint_contains(gens, f.rank, x):
+                continue
+            count += 1
+            val = Fraction(dot(fn, x))
+            if val < best_val:
+                best_val, best_wit = val, x
+    return MldReport(best_val, best_wit, count, "exact")
 
 
 def _least_point(cands):

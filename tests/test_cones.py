@@ -435,6 +435,91 @@ def test_cone_runs_match_brute_force(seed):
         assert all(dot(m, point(k)) == n0 + step * k for k in (lo, hi))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cone_runs_bound_zero_level_generators_below_two(seed):
+    """Where m vanishes on some generators, the runs of cone_runs hold
+    exactly the lattice points x = Σ t_i g_i of the closed simplicial cone
+    with m·x <= cap and t_i < 2 on each of those generators, each once, and
+    with the cone's inequalities as rows exactly those of its relative
+    interior.  The brute force walks box points b plus up to three
+    multiples k_i of a zero-level generator, so floor(t_i) = k_i; m may
+    vanish on every generator."""
+    rng = random.Random(seed)
+    gens, dim, _ = scan_case(rng)
+    eqs, ineqs = hrep(gens, dim)
+    zero = set(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
+    m = (0,) * dim
+    for row in ineqs:  # the facet normal opposite g_i is positive on g_i alone
+        i = next(i for i, g in enumerate(gens) if dot(row, g))
+        c = 0 if i in zero else rng.randint(1, 3)
+        m = tuple(a + c * b for a, b in zip(m, row))
+    for row in eqs:
+        c = rng.randint(-2, 2)
+        m = tuple(a + c * b for a, b in zip(m, row))
+    vals = [dot(m, g) for g in gens]
+    assert {i for i, v in enumerate(vals) if v == 0} == zero
+    if box_size(gens, dim) > 200:
+        return
+    pts, top = [], max(vals) or 1
+    for b in reference_box_points(gens, dim):
+        ranges = [range((top - dot(m, b)) // v + 1) if v else range(4) for v in vals]
+        for ks in product(*ranges):
+            x = tuple(c + sum(k * g[j] for k, g in zip(ks, gens)) for j, c in enumerate(b))
+            pts.append((x, all(k < 2 for i, k in enumerate(ks) if i in zero)))
+    values = sorted({dot(m, x) for x, _ in pts} & set(range(top + 1)))
+    cap = rng.choice(values + [values[0] - 1])
+    rows = rng.choice([(), ineqs])
+    below_two = [x for x, low in pts if low and dot(m, x) <= cap]
+    want = [x for x in below_two if all(dot(f, x) >= 1 for f in rows)]
+    if rows:
+        assert want == [x for x in below_two if relint_contains(gens, dim, x)]
+    runs = list(cone_runs(gens, dim, m, [cap], rows))
+    got = [point(k) for lo, hi, _, _, point in runs for k in range(lo, hi + 1)]
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(want)
+    for lo, hi, n0, step, point in runs:
+        assert lo <= hi
+        assert all(dot(m, point(k)) == n0 + step * k for k in (lo, hi))
+
+
+def test_cone_runs_zero_level_generator_of_a_unimodular_cone():
+    """m vanishes on g_0 = (1, 0, 0) alone.  The runs hold exactly the
+    points x = Σ t_i g_i of the closed cone, and with its inequalities as
+    rows of its relative interior, with m·x <= 3 and t_0 < 2.  As |det| = 1,
+    the bound t_0 < 2 and the row t_0 >= 1 of the relative interior
+    combine into 0 <= 0, which the elimination drops."""
+    gens = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    m, cap = (0, 1, 0), 3
+    for rows in ((), hrep(gens, 3)[1]):
+        want = [
+            x
+            for x in product(range(-9, 10), repeat=3)
+            if contains(gens, 3, x)
+            and dot(m, x) <= cap
+            and barycentric(gens, x)[0] < 2
+            and all(dot(f, x) >= 1 for f in rows)
+        ]
+        runs = cone_runs(gens, 3, m, [cap], rows)
+        got = [point(k) for lo, hi, _, _, point in runs for k in range(lo, hi + 1)]
+        assert len(want) == (3 if rows else 20)
+        assert sorted(got) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_box_lattice_signed_adjugate(seed):
+    """_box_lattice's s adj V, from the same elimination as |det V|, is
+    sign(det V) adj V: V (s adj V) = |det V| I."""
+    gens, dim, _ = scan_case(random.Random(seed))
+    _, vmat, index, sadj = cones._box_lattice(gens, dim)
+    d, sign = len(vmat), 1 if intlinalg.det(vmat) > 0 else -1
+    assert sadj == tuple(tuple(sign * x for x in row) for row in intlinalg.adjugate(vmat))
+    assert [[dot(row, col) for col in zip(*sadj)] for row in vmat] == [
+        [index * (i == j) for j in range(d)] for i in range(d)
+    ]
+
+
 def test_box_minimum_examples():
     # the box of (1, 0), (1, 2) holds (1, 1) besides 0
     assert box_minimum(((1, 0), (1, 2)), 2, (1, 1), (5, 9, (9, 9))) == (2, 1, (1, 1))
@@ -508,12 +593,12 @@ def test_box_points_column_checks_fire(monkeypatch, edit, message):
 )
 def test_capped_points_match_brute_force(gens, data):
     """capped_points yields each lattice point x of the simplicial cone with
-    m·x <= capn, at most cap multiples of each generator with m·g > 0 and at
-    most zero_cap of each with m·g = 0, exactly once; every other element of
-    its walk is (n, None) with n > capn.  The reference scans a box of Z^dim
-    with contains and reads the multiples off barycentric coordinates.  The
-    functional is a nonnegative combination of the facet normals plus span
-    equations, so some generators may sit at level zero."""
+    m·x <= capn and at most radius multiples of each generator, exactly
+    once; every other element of its walk is (n, None) with n > capn.  The
+    reference scans a box of Z^dim with contains and reads the multiples off
+    barycentric coordinates.  The functional is a nonnegative combination of
+    the facet normals plus span equations, so some generators may sit at
+    level zero."""
     dim = len(gens[0])
     if rank(gens) != len(gens):
         return
@@ -523,28 +608,24 @@ def test_capped_points_match_brute_force(gens, data):
         c = data.draw(st.integers(lo, 2))
         m = [a + c * b for a, b in zip(m, row)]
     capn = data.draw(st.integers(-1, 10))
-    zero_cap = data.draw(st.integers(0, 2))
-    cap = data.draw(st.none() | st.integers(0, 3))
+    radius = data.draw(st.integers(0, 3))
     vals = [dot(m, g) for g in gens]
-    limits = [
-        zero_cap if v == 0 else capn // v if cap is None else min(cap, capn // v) for v in vals
-    ]
-    radius = [sum((k + 1) * abs(g[j]) for k, g in zip(limits, gens)) for j in range(dim)]
-    if math.prod(2 * r + 1 for r in radius) > 20_000:
+    limits = [radius if v == 0 else min(radius, capn // v) for v in vals]
+    ball = [sum((k + 1) * abs(g[j]) for k, g in zip(limits, gens)) for j in range(dim)]
+    if math.prod(2 * r + 1 for r in ball) > 20_000:
         return
 
-    walk = list(capped_points(gens, dim, m, capn, zero_cap, cap))
+    walk = list(capped_points(gens, dim, m, capn, radius))
     for n, x in walk:
         assert n > capn if x is None else n == dot(m, x) <= capn
     got = [x for _, x in walk if x is not None]
     assert len(set(got)) == len(got)
 
     want = set()
-    for x in product(*(range(-r, r + 1) for r in radius)):
+    for x in product(*(range(-r, r + 1) for r in ball)):
         if not contains(gens, dim, x) or dot(m, x) > capn:
             continue
-        ks = [math.floor(t) for t in barycentric(gens, x)]
-        if all(k <= zero_cap if v == 0 else cap is None or k <= cap for k, v in zip(ks, vals)):
+        if all(math.floor(t) <= radius for t in barycentric(gens, x)):
             want.add(x)
     assert set(got) == want
 
@@ -594,11 +675,10 @@ def test_capped_runs_match_capped_points(seed):
     if rng.random() < 0.3:
         rows = (eqs, ineqs)
     capn = rng.randint(-2, 12)
-    zero_cap = rng.randint(0, 2)
-    cap = rng.choice([None, None, 0, 1, 3])
+    radius = rng.choice([0, 1, 2, 3, 5])
 
-    ref = list(capped_points(gens, dim, m, capn, zero_cap, cap))
-    runs = list(capped_runs(gens, dim, m, capn, rows, zero_cap, cap))
+    ref = list(capped_points(gens, dim, m, capn, radius))
+    runs = list(capped_runs(gens, dim, m, capn, rows, radius))
     assert sum(run[0] for run in runs) == len(ref)
     want = [
         (n, x)
@@ -655,8 +735,14 @@ def test_hrep_of_square_generator_sets_matches_reference(case):
 
 
 def test_hrep_of_coplanar_rays_takes_the_general_path():
+    """The one pass finds the set singular, and no adjugate is taken: not
+    through intlinalg, and not through a name bound in cones."""
     gens = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
-    with patch.object(cones, "adjugate", side_effect=AssertionError("adjugate of a singular set")):
+    refuse = AssertionError("adjugate of a singular set")
+    with (
+        patch.object(intlinalg, "adjugate", side_effect=refuse),
+        patch.object(cones, "adjugate", side_effect=refuse, create=True),
+    ):
         got, adjs = hrep_with_adjugates(gens, 3)
     assert adjs == [None]
     assert got == reference_hrep(gens, 3) == (((0, 0, 1),), ((0, 1, 0), (1, 0, 0)))
