@@ -57,16 +57,10 @@ does not depend on scan order: it keeps the least (value, sup-norm, x) key
 when its step is 0) and lowers the cap to each better value, which the
 scans read between runs.  ``box_minimum`` folds ``box_runs`` with it.
 
-``capped_runs`` walks the same points of a simplicial cone as box points
-plus at most radius multiples of each generator, under a cap on a linear
-functional, which may vanish on a generator.  It stays for the one scan
-whose result follows the walk's order: the radius search of
-``fibration.relative_mld``, which charges its budget in walk order.  It walks
-one run at a time: all coefficients but the last are fixed, so the capped
-functional and each row of an H-representation (E x = 0, F x > 0) are
-arithmetic progressions in the last one, and floor division gives the
-interval of points that pass them all (``progression_interval``).  Callers
-count a run by its size and build a point only when it can be the answer.
+With a radius, ``cone_runs`` bounds t_i < radius + 1 on every generator in
+place of t_i < 2 on the zero-level ones: these are the points of the radius
+search of ``fibration.relative_mld``, which folds them with ``least_key`` as
+the exact branch does and charges its budget each run's length.
 """
 
 from __future__ import annotations
@@ -576,29 +570,37 @@ def box_runs(gens: tuple[Vec, ...], dim: int, m, cap: list):
     yield from _lattice_runs(points, vals, rows, cap, True)
 
 
-def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: list, ineqs=()):
+def cone_runs(gens: tuple[Vec, ...], dim: int, m, cap: list, ineqs=(), radius=None):
     """The lattice points x = Σ t_i g_i of the closed simplicial cone over
-    gens with m·x <= cap[0], t_i < 2 for each g_i with m·g_i = 0 and
-    F x >= 1 for each row F of ineqs, one run at a time, as ``box_runs``
-    yields them; gens must be nonempty and linearly independent, and m
-    nonnegative on each of them, so that the points are finitely many.  The
-    caller may lower cap[0] between runs.
+    gens with m·x <= cap[0] and F x >= 1 for each row F of ineqs, one run
+    at a time, as ``box_runs`` yields them; gens must be nonempty and
+    linearly independent, and m nonnegative on each of them.  Without a
+    radius, t_i < 2 on each g_i with m·g_i = 0; with one, t_i < radius + 1
+    on every g_i.  Either way the points are finitely many.  The caller may
+    lower cap[0] between runs.
 
     The rows are those of ``box_runs`` without the upper box bounds,
-    (s adj V y)_i >= 0, the upper bound (s adj V y)_i <= 2|det V| - 1 for
-    each generator at level zero, and one row per F: with the inequalities
-    of the H-representation of a cone tau whose span is that of gens, the
-    points are those of relint(tau), since F x > 0 is F x >= 1 on lattice
-    points.  The bound t_i < 2 keeps every value m takes there: if
-    t_i >= 2 on a g_i with m·g_i = 0, x - g_i has t_i - 1 >= 1, the same
-    value, and F(x - g_i) >= F g_i >= 1 wherever F g_i > 0 (F x >= t_i F g_i,
-    as F >= 0 on the generators), F x unchanged elsewhere.
+    (s adj V y)_i >= 0, the upper bounds (s adj V y)_i <= c|det V| - 1
+    (c = 2 on each generator at level zero, or radius + 1 on every one) and
+    one row per F: with the inequalities of the H-representation of a cone
+    tau whose span is that of gens, the points are those of relint(tau),
+    since F x > 0 is F x >= 1 on lattice points.  The bound t_i < 2 keeps
+    every value m takes there: if t_i >= 2 on a g_i with m·g_i = 0, x - g_i
+    has t_i - 1 >= 1, the same value, and F(x - g_i) >= F g_i >= 1 wherever
+    F g_i > 0 (F x >= t_i F g_i, as F >= 0 on the generators), F x unchanged
+    elsewhere.  It keeps the values but not the least key: x - g_i may have
+    the larger sup-norm.  So a radius replaces it rather than joining it,
+    and the scan holds every point of the radius ball, as the least key
+    over that ball needs.
     """
     index, points, z = _reduced_lattice(tuple(map(tuple, gens)), dim)
     vals = [dot(m, x) for x in points]
     rows = [(tuple(vals), 0, 1)]
     rows.extend((tuple(-c for c in zi), 0, 0) for zi in z)
-    rows.extend((zi, 2 * index - 1, 0) for zi, g in zip(z, gens) if not dot(m, g))
+    if radius is None:
+        rows.extend((zi, 2 * index - 1, 0) for zi, g in zip(z, gens) if not dot(m, g))
+    else:
+        rows.extend((zi, (radius + 1) * index - 1, 0) for zi in z)
     rows.extend((tuple(-dot(row, x) for x in points), -1, 0) for row in ineqs)
     yield from _lattice_runs(points, vals, rows, cap, False)
 
@@ -633,68 +635,3 @@ def box_minimum(gens: tuple[Vec, ...], dim: int, m, best: tuple) -> tuple:
         return best
     cap = [best[0]]
     return least_key(best, box_runs(gens, dim, m, cap), cap)
-
-
-def progression_interval(lo: int, hi: int, a: int, step: int, sense: int) -> tuple[int, int]:
-    """The k in [lo, hi] with a + step*k <= 0 (sense < 0), == 0 (sense == 0)
-    or > 0 (sense > 0), an interval in integers; empty when lo > hi."""
-    if sense > 0:  # a + step*k > 0  iff  (1 - a) - step*k <= 0
-        a, step, sense = 1 - a, -step, -1
-    if step == 0:
-        holds = a <= 0 if sense < 0 else a == 0
-        return (lo, hi) if holds else (lo, lo - 1)
-    if sense == 0:
-        if a % step:
-            return lo, lo - 1
-        k = -a // step
-        return max(lo, k), min(hi, k)
-    if step > 0:
-        return lo, min(hi, -a // step)
-    return max(lo, -(-a // -step)), hi
-
-
-def _run_point(b, ks, cols, last, k) -> Vec:
-    return tuple(c + sum(map(mul, ks, col)) + k * g for c, col, g in zip(b, cols, last))
-
-
-def capped_runs(gens: tuple[Vec, ...], dim: int, m, capn: int, rows, radius: int):
-    """The lattice points x = b + Σ k_i g_i of the simplicial cone over gens,
-    b a box point, one run at a time; gens must be nonempty and linearly
-    independent.
-
-    k_i runs up to min((capn - m·b) // m·g_i, radius) where m·g_i > 0, and
-    up to radius where m·g_i <= 0.  The k are walked in itertools.product
-    order, and a run is every k sharing all coordinates but the last.
-    Along a run m·x and each row's value are arithmetic progressions in the
-    last coefficient k, so with rows = (E, F) each run is yielded as
-    (size, lo, hi, n0, step, point): size elements, of which those with
-    lo <= k <= hi satisfy m·x <= capn, E x = 0 and F x > 0;
-    m·x = n0 + step*k; point(k) builds x.  Each row's values on the
-    generators and on the box points are taken once.
-    """
-    eqs, ineqs = rows
-    *pre, last = gens
-    boxes = box_points(gens, dim)
-    table = [
-        (sense, [dot(r, g) for g in pre], dot(r, last), values_at(r, boxes))
-        for r, sense in [(m, -1), *((e, 0) for e in eqs), *((f, 1) for f in ineqs)]
-    ]
-    vals = [dot(m, g) for g in gens]
-    step = vals[-1]
-    cols = [tuple(g[j] for g in pre) for j in range(dim)]
-    for j, b in enumerate(boxes):
-        base = table[0][3][j]
-        ranges = [range(min((capn - base) // v, radius) + 1 if v > 0 else radius + 1) for v in vals]
-        size = len(ranges.pop())
-        if not size:
-            continue
-        for ks in product(*ranges):
-            lo, hi = 0, size - 1
-            for sense, pre_vals, row_step, at_box in table:
-                a = at_box[j] + sum(map(mul, ks, pre_vals))
-                if sense < 0:
-                    n0, a = a, a - capn
-                lo, hi = progression_interval(lo, hi, a, row_step, sense)
-                if lo > hi:
-                    break
-            yield size, lo, hi, n0, step, partial(_run_point, b, ks, cols, last)

@@ -38,11 +38,15 @@ up to that step, per (f, B, tau_z) (``_relative_analysis``: its LPs, its
 -infinity exits and its sublevel scan).  A comes from
 ``divisors.log_discrepancy_function``'s cache.
 
-With every coefficient of B below 1 the sublevel scan is exact and builds
-no box: ``cones.cone_runs`` scans each face over tau_z of the planned cones'
-simplices once, with the rows F M x >= 1 under the LP seed's value, folded by
-``cones.least_key``.  The radius search still walks boxes
-(``cones.capped_runs``), since it charges its budget in walk order.
+Both scans of ``relative_mld`` build no box: ``cones.cone_runs`` scans
+each face over tau_z of the planned cones' simplices once, with the rows
+F M x >= 1 under the LP seed's value, folded by ``cones.least_key``.  With
+every coefficient of B below 1 this sublevel scan is exact.  Otherwise,
+below eps, the radius search runs the same scan with t_i < radius + 1 on
+every generator (``cone_runs`` needs A >= 0 on the face generators, which
+holds once the LPs have found no -infinity).  Its budget is charged the
+points each run examines, and its answer does not depend on the scan's
+order unless the budget runs out.
 """
 
 from __future__ import annotations
@@ -343,14 +347,15 @@ class Indeterminate:
 
 
 @dataclass(frozen=True)
-class BudgetExhausted:  # the search examined `searched` elements, its budget, and stopped
+class BudgetExhausted:  # the search examined `searched` points, its budget, and stopped
     radius: int
     searched: int
 
 
 RelMldResult = Exact | CertifiedAtLeast | Witness | Indeterminate | BudgetExhausted
 
-# lattice points the radius search of relative_mld may visit
+# lattice points the radius search of relative_mld may examine, counted per
+# run scanned
 _SEARCH_BUDGET = 2_000_000
 
 
@@ -404,15 +409,15 @@ def _relative_plan(f: ToricMorphism, tau_z: tuple[int, ...]):
 class _SearchStart:
     """What relative_mld's last step starts from when its analysis decides
     nothing: the closed-region bound lower, A as (den, nums), the pulled-back
-    rows, the relevant cones' indices and the seed key
+    inequalities F M, the plan's (cone index, face) pairs and the seed key
     ``cones.point_key(capn, wit0)``, whose value capn = den * A(wit0) caps
     A's numerators."""
 
     lower: Fraction
     den: int
     nums: tuple[Vec, ...]
-    rows: tuple
-    relevant: tuple[int, ...]
+    rows: tuple[Vec, ...]
+    faces: tuple[tuple[int, tuple[int, ...]], ...]
     seed: tuple
 
 
@@ -446,13 +451,13 @@ def _relative_analysis(f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...]
     # v0 lies in cone k, where A is nums[k] / den
     seed = min(cones.point_key(dot(nums[k], v0), v0) for k, _, _, v0 in relevant)
     capn, _, wit0 = seed
+    faces = tuple((k, face) for k, *_, fs in plan for face in fs)
 
     if all(1 - coeff > 0 for coeff in b.coeffs):
         best, cap = seed, [capn]
-        for k, *_, faces in plan:
-            for face in faces:
-                runs = cones.cone_runs(src.cone_gens(face), nx, nums[k], cap, rows[1])
-                best = cones.least_key(best, runs, cap)
+        for k, face in faces:
+            runs = cones.cone_runs(src.cone_gens(face), nx, nums[k], cap, rows[1])
+            best = cones.least_key(best, runs, cap)
         return a, Exact(Fraction(best[0], den), best[2])
 
     # closed-region lower bound, one LP per relevant cone
@@ -470,7 +475,7 @@ def _relative_analysis(f: ToricMorphism, b: ToricDivisor, tau_z: tuple[int, ...]
             lower = res.value
     if Fraction(capn, den) == lower:
         return a, Exact(lower, wit0)
-    return a, _SearchStart(lower, den, nums, rows, tuple(k for k, *_ in relevant), seed)
+    return a, _SearchStart(lower, den, nums, rows[1], faces, seed)
 
 
 def relative_mld(
@@ -510,26 +515,22 @@ def _radius_search(src: Fan, a, start: _SearchStart, eps: Fraction, radius: int)
     if lower >= eps:
         return CertifiedAtLeast(lower)
 
-    # 0 <= lower < eps: radius-capped direct search.  Every element of the
-    # walk, above the cap or not, is charged to the budget; a run is charged
-    # its size, and only its k below the budget left are examined.  The walk
-    # is not drawn past the budget, so one that ends exactly there is
+    # 0 <= lower < eps: the planned faces' points within the radius, under
+    # the cap.  Each run is charged its length, and a run longer than the
+    # budget left is cut to it; a scan that ends exactly at the budget is
     # reported as exhausted too
-    nx, nums, capn = src.rank, start.nums, start.seed[0]
-    best, cap = start.seed, [capn]
-    budget = _SEARCH_BUDGET
+    nx, nums, cap = src.rank, start.nums, [start.seed[0]]
+    best, budget = start.seed, _SEARCH_BUDGET
     runs = (
         run
-        for k in start.relevant
-        for simplex in _triangulated(src)[k]
-        for run in cones.capped_runs(src.cone_gens(simplex), nx, nums[k], capn, start.rows, radius)
+        for k, face in start.faces
+        for run in cones.cone_runs(src.cone_gens(face), nx, nums[k], cap, start.rows, radius)
     )
-    for size, lo, hi, n0, step, point in runs:
-        hi = min(hi, budget - 1)
-        if lo <= hi:
-            best = cones.least_key(best, ((lo, hi, n0, step, point),), cap)
-        budget -= min(size, budget)
-        if budget <= 0:
+    for lo, hi, n0, step, point in runs:
+        hi = min(hi, lo + budget - 1)
+        best = cones.least_key(best, ((lo, hi, n0, step, point),), cap)
+        budget -= hi - lo + 1
+        if not budget:
             break
     value, wit = Fraction(best[0], start.den), best[2]
     if not is_primitive(wit):
@@ -539,8 +540,8 @@ def _radius_search(src: Fan, a, start: _SearchStart, eps: Fraction, radius: int)
         return Exact(value, wit)
     if value < eps:
         return Witness(wit, value)
-    if budget <= 0:
-        return BudgetExhausted(radius, _SEARCH_BUDGET - budget)
+    if not budget:
+        return BudgetExhausted(radius, _SEARCH_BUDGET)
     return Indeterminate(radius)
 
 

@@ -696,11 +696,11 @@ def gens_with_invariant_factors(rng: random.Random, factors, dim: int):
     )
 
 
-# -- The per-element walk the library replaced by cones.capped_runs ---------
+# -- The per-element capped lattice walk -------------------------------------
 #
 # capped_points yields every element of the capped lattice walk, one at a
 # time; sublevel_points and _relint_test are its filters from singularities
-# and fibration.  The run-at-a-time walk is compared with them.
+# and fibration.  The cone scans are compared with them.
 
 
 def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, radius: int):
@@ -726,16 +726,6 @@ def capped_points(gens: tuple[Vec, ...], dim: int, m, capn: int, radius: int):
                 yield n, None
             else:
                 yield n, tuple(c + sum(map(mul, ks, col)) for c, col in zip(b, cols))
-
-
-def expand_runs(runs):
-    """(m·x, x) for every point in the intervals of cones.capped_runs' runs,
-    in walk order."""
-    return [
-        (n0 + step * k, point(k))
-        for _, lo, hi, n0, step, point in runs
-        for k in range(lo, hi + 1)
-    ]
 
 
 def sublevel_points(f: Fan, a: PLFunction, cap: Fraction):
@@ -894,8 +884,18 @@ def _least_point(cands):
 
 
 def reference_relative_mld(
-    f, b: ToricDivisor, tau_z, eps, radius: int = 10_000, budget: int = 2_000_000
+    f,
+    b: ToricDivisor,
+    tau_z,
+    eps,
+    radius: int = 10_000,
+    budget: int = 2_000_000,
+    spent: list | None = None,
 ):
+    """relative_mld by LPs over cones cut by the double description and a
+    per-element walk for the radius search, which charges every element of
+    the walk to the budget; the number charged is appended to spent, if
+    given, when the search runs."""
     eps = Fraction(eps)
     tau_z = tuple(sorted(set(int(i) for i in tau_z)))
     src, nz, nx = f.source, f.target.rank, f.source.rank
@@ -1001,6 +1001,8 @@ def reference_relative_mld(
                 break
         if budget <= 0:
             break
+    if spent is not None:
+        spent.append(searched)
     value, wit = _least_point(found)
     if not is_primitive(wit):
         wit = primitive(wit)

@@ -254,7 +254,7 @@ class TestFibrationCommands:
         assert rep["payload"]["error"] == "DomainError"
 
     def test_rel_mld_budget_exhausted(self, cli, tmp_path, monkeypatch):
-        monkeypatch.setattr(fibration, "_SEARCH_BUDGET", 5)
+        monkeypatch.setattr(fibration, "_SEARCH_BUDGET", 3)
         src = a2()
         mpath = write_doc(tmp_path, "a2.json", morphism_doc(identity_morphism(src)))
         b = divisor(src, [1 if r == (0, 1) else 0 for r in src.rays])
@@ -266,7 +266,7 @@ class TestFibrationCommands:
         assert json.loads(out)["payload"] == {
             "status": "budget_exhausted",
             "radius": 3,
-            "searched": 5,
+            "searched": 3,
         }
 
     def test_factor_mfs_piped(self, cli):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from helpers import (
     capped_points,
     cones_of,
-    expand_runs,
     gens_with_invariant_factors,
     random_fan,
     reference_box_points,
@@ -30,7 +29,6 @@ from toricmld.cones import (
     box_points,
     box_runs,
     box_size,
-    capped_runs,
     cone_runs,
     contains,
     covered_by,
@@ -38,7 +36,6 @@ from toricmld.cones import (
     extreme_rays,
     hrep,
     is_pointed,
-    progression_interval,
     relint_contains,
     relint_point,
     span_coordinates,
@@ -483,6 +480,52 @@ def test_cone_runs_bound_zero_level_generators_below_two(seed):
         assert all(dot(m, point(k)) == n0 + step * k for k in (lo, hi))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cone_runs_radius_bounds_every_generator(seed):
+    """With a radius R, the runs of cone_runs hold exactly the lattice
+    points x = Σ t_i g_i of the closed simplicial cone with 0 <= t_i < R + 1
+    on every generator, m·x <= cap and F x >= 1 for each row F, each once.
+    m vanishes on some generators, and there the radius replaces the bound
+    t_i < 2: at R >= 2, a cap >= 0 and no rows, 2 g_i is a point of the
+    runs.  The brute force walks box points b plus k_i <= R multiples of
+    each generator, so floor(t_i) = k_i; the rows are none, the cone's
+    inequalities or random ones."""
+    rng = random.Random(seed)
+    gens, dim, _ = scan_case(rng)
+    eqs, ineqs = hrep(gens, dim)
+    zero = set(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
+    m = (0,) * dim
+    for row in ineqs:  # the facet normal opposite g_i is positive on g_i alone
+        i = next(i for i, g in enumerate(gens) if dot(row, g))
+        c = 0 if i in zero else rng.randint(1, 3)
+        m = tuple(a + c * b for a, b in zip(m, row))
+    for row in eqs:
+        c = rng.randint(-2, 2)
+        m = tuple(a + c * b for a, b in zip(m, row))
+    radius = rng.randint(0, 3)
+    if box_size(gens, dim) * (radius + 1) ** len(gens) > 2000:
+        return
+    pts = []
+    for b in reference_box_points(gens, dim):
+        for ks in product(range(radius + 1), repeat=len(gens)):
+            pts.append(tuple(c + sum(k * g[j] for k, g in zip(ks, gens)) for j, c in enumerate(b)))
+    cap = rng.choice(sorted({dot(m, x) for x in pts}) + [-1])
+    rows = rng.choice(
+        [(), ineqs, tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(2))]
+    )
+    want = [x for x in pts if dot(m, x) <= cap and all(dot(f, x) >= 1 for f in rows)]
+    runs = list(cone_runs(gens, dim, m, [cap], rows, radius=radius))
+    got = [point(k) for lo, hi, _, _, point in runs for k in range(lo, hi + 1)]
+    assert len(got) == len(set(got))
+    assert sorted(got) == sorted(want)
+    for lo, hi, n0, step, point in runs:
+        assert lo <= hi
+        assert all(dot(m, point(k)) == n0 + step * k for k in (lo, hi))
+    if radius >= 2 and cap >= 0 and not rows:
+        assert {tuple(2 * c for c in gens[i]) for i in zero} <= set(got)
+
+
 def test_cone_runs_zero_level_generator_of_a_unimodular_cone():
     """m vanishes on g_0 = (1, 0, 0) alone.  The runs hold exactly the
     points x = Σ t_i g_i of the closed cone, and with its inequalities as
@@ -628,66 +671,6 @@ def test_capped_points_match_brute_force(gens, data):
         if all(math.floor(t) <= radius for t in barycentric(gens, x)):
             want.add(x)
     assert set(got) == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(-3, 3), st.integers(-3, 4), st.integers(-9, 9), st.integers(-4, 4))
-def test_progression_interval_matches_brute_force(lo, hi, a, step):
-    for sense, holds in ((-1, lambda v: v <= 0), (0, lambda v: v == 0), (1, lambda v: v > 0)):
-        got_lo, got_hi = progression_interval(lo, hi, a, step, sense)
-        want = [k for k in range(lo, hi + 1) if holds(a + step * k)]
-        assert list(range(got_lo, got_hi + 1)) == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**6))
-def test_capped_runs_match_capped_points(seed):
-    """Expanding each run's [lo, hi] gives, in order, exactly the elements
-    (n, x) of the per-element walk with x built (n <= capn) and the rows
-    satisfied (E x = 0, F x > 0); the run sizes add up to the number of
-    elements of that walk.  Cones come with random generators or with
-    prescribed Smith invariant factors, functionals take positive, zero and
-    negative values on the generators, and the rows are random."""
-    rng = random.Random(seed)
-    dim = rng.randint(1, 3)
-    d = rng.randint(1, dim)
-    if rng.random() < 0.5:
-        factors = [1] * (d - 1) + [rng.randint(1, 4)]
-        if d > 1 and rng.random() < 0.5:
-            factors[-2] = 2
-            factors[-1] = 2 * rng.randint(1, 2)
-        gens = gens_with_invariant_factors(rng, factors, dim)
-    else:
-        gens = tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(d))
-        if rank(gens) != d:
-            return
-    if max(abs(c) for g in gens for c in g) > 6 or len(box_points(gens, dim)) > 40:
-        return
-    eqs, ineqs = hrep(gens, dim)
-    m = [rng.randint(-2, 2) for _ in range(dim)]
-    for row in ineqs:  # lean towards m >= 0 on the cone, with some zeros
-        if rng.random() < 0.6:
-            m = [a + rng.randint(0, 2) * b for a, b in zip(m, row)]
-    rows = (
-        tuple(tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(0, 1))),
-        tuple(tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 2))),
-    )
-    if rng.random() < 0.3:
-        rows = (eqs, ineqs)
-    capn = rng.randint(-2, 12)
-    radius = rng.choice([0, 1, 2, 3, 5])
-
-    ref = list(capped_points(gens, dim, m, capn, radius))
-    runs = list(capped_runs(gens, dim, m, capn, rows, radius))
-    assert sum(run[0] for run in runs) == len(ref)
-    want = [
-        (n, x)
-        for n, x in ref
-        if x is not None
-        and all(dot(e, x) == 0 for e in rows[0])
-        and all(dot(f, x) > 0 for f in rows[1])
-    ]
-    assert expand_runs(runs) == want
 
 
 @st.composite

@@ -299,6 +299,17 @@ class TestRelativeMld:
         res = relative_mld(f, divisor(src, coeffs), (0, 1), Fraction(1, 2), radius=3)
         assert res == Indeterminate(3)
 
+    def test_witness_ties_break_over_the_radius_ball(self):
+        """A vanishes on the ray (-1, 0) of the face over tau.  The least
+        (value, sup-norm, x) witness at value 1/2 is (-1, -1), with t = 3
+        on (-1, 0): the search bounds t_i < radius + 1 there, not t_i < 2,
+        which would leave (1, -1) as the least key at the same value."""
+        src = fan(2, [(-3, 2), (-1, 0), (-1, 1), (2, -1)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        f = identity_morphism(src)
+        b = divisor(src, [0, 1, 1, Fraction(1, 2)])
+        res = relative_mld(f, b, (1, 3), 1, radius=3)
+        assert res == Witness((-1, -1), Fraction(1, 2))
+
     def test_minus_infinity(self):
         src = p1a1()
         f = to_a1(src)

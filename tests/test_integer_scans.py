@@ -19,7 +19,6 @@ from helpers import (
     a1,
     cone_over_square,
     cones_of,
-    expand_runs,
     identity_morphism,
     outcome,
     p1,
@@ -53,7 +52,7 @@ from toricmld.fibration import (
     morphism,
     relative_mld,
 )
-from toricmld.intlinalg import is_zero, mat_mul
+from toricmld.intlinalg import mat_mul
 from toricmld.singularities import (
     MldReport,
     _triangulated,
@@ -203,7 +202,6 @@ def test_mld_at_cone_of_example_family_rank_4(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("the positive branch walked a parallelepiped")
 
-    monkeypatch.setattr(cones, "capped_runs", no_walk)
     monkeypatch.setattr(cones, "box_points", no_walk)
     x = example_family(3, 2).x
     rep = mld_at_cone(x, zero_divisor(x), (0, 1, 2, 3))
@@ -258,9 +256,10 @@ def test_mld_at_cone_zero_level_below_ball_minimum(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_sublevel_points_match_fraction_scan(seed):
-    """Same points in the same order, at caps that some lattice points
-    attain exactly and at caps between two numerators, from the
-    per-element walk and from the unfiltered run-at-a-time walk."""
+    """Same points in the same order from the per-element walk, and the
+    same set from the cone scan with no rows at the radius capn, at caps
+    that some lattice points attain exactly and at caps between two
+    numerators."""
     rng = random.Random(seed)
     f = random_fan(rng, max_rank=3, subdivisions=2)
     coeffs = [c if c < 1 else Fraction(1, 2) for c in random_coeffs(rng, len(f.rays))]
@@ -270,17 +269,16 @@ def test_sublevel_points_match_fraction_scan(seed):
     for cap in (ray_cap * rng.randint(1, 3), ray_cap + Fraction(1, 3 * den)):
         want = list(reference_sublevel_points(f, a, cap))
         assert [(x, Fraction(n, den)) for x, n in sublevel_points(f, a, cap)] == want
-        # the run-at-a-time walk with no rows, deduplicated, gives the same
-        capn, seen, walked = math.floor(cap * den), set(), []
+        # the cone scan with no rows, deduplicated, gives the same set
+        capn, scanned = math.floor(cap * den), set()
         for m, simplices in zip(a.integral()[1], _triangulated(f)):
             for simplex in simplices:
-                # every m·g_i >= 1, so the radius capn bounds no multiple
-                runs = cones.capped_runs(f.cone_gens(simplex), f.rank, m, capn, ((), ()), capn)
-                for n, x in expand_runs(runs):
-                    if not is_zero(x) and x not in seen:
-                        seen.add(x)
-                        walked.append((x, Fraction(n, den)))
-        assert walked == want
+                # every m·g_i >= 1, so t_i <= capn: the radius capn bounds nothing
+                runs = cones.cone_runs(f.cone_gens(simplex), f.rank, m, [capn], radius=capn)
+                for lo, hi, n0, step, point in runs:
+                    for k in range(lo, hi + 1):
+                        scanned.add((point(k), Fraction(n0 + step * k, den)))
+        assert sorted(scanned - {((0,) * f.rank, 0)}) == sorted(want)
 
 
 @pytest.mark.parametrize("q", [20, 37, 40])
@@ -488,7 +486,6 @@ def test_relative_mld_of_example_family_rank_4(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("the enumeration walked a parallelepiped")
 
-    monkeypatch.setattr(cones, "capped_runs", no_walk)
     monkeypatch.setattr(cones, "box_points", no_walk)
     fibration._relative_analysis.cache_clear()
     f = example_family(3, 2).f
@@ -524,26 +521,53 @@ def test_relative_mld_search_matches_fraction_scan(monkeypatch):
     assert kinds.count((False, "Indeterminate")) >= 3
 
 
-@pytest.mark.parametrize("budget", [1, 5, 40])
-def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget):
-    """A search that runs out of budget stops at the same element of the
-    walk as the reference and returns what the reference returns.  The walk
-    is counted through cones.capped_runs: every element of a run, including
-    those above the cap, is charged, the last run only up to the budget
-    left, so the search charges min(budget, elements handed over).  No run
-    is drawn once the budget is spent, so it never charges more than
-    `budget` elements, and it ran out when it charged exactly `budget`.  A
-    search that ran out and found neither the lower bound nor a point below
-    eps returns BudgetExhausted, never Indeterminate."""
-    sizes = []
-    walk = cones.capped_runs
+def test_radius_search_builds_no_box(monkeypatch):
+    """The radius search scans cones.cone_runs alone: with cones.box_points
+    raising, its Exact, Witness and Indeterminate outcomes all come out,
+    equal to the reference's."""
 
-    def counting_walk(*args, **kwargs):
-        for run in walk(*args, **kwargs):
-            sizes.append(run[0])
+    def no_box(*args, **kwargs):
+        raise AssertionError("the radius search built a parallelepiped")
+
+    searched = []
+    search = fibration._radius_search
+
+    def recording_search(src, a, start, eps, radius):
+        res = search(src, a, start, eps, radius)
+        if start.lower < eps:
+            searched.append(type(res).__name__)
+        return res
+
+    monkeypatch.setattr(fibration, "_radius_search", recording_search)
+    for seed in range(60):
+        f, b, tau, eps, radius = relative_case(random.Random(seed), seed % 3)
+        want = outcome(reference_relative_mld, f, b, tau, eps, radius=radius)
+        with monkeypatch.context() as patch:
+            patch.setattr(cones, "box_points", no_box)
+            same(outcome(relative_mld, f, b, tau, eps, radius=radius), want)
+    assert {"Exact", "Witness", "Indeterminate"} <= set(searched)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget):
+    """The search charges each run of cones.cone_runs its length, the last
+    run only up to the budget left, so it charges min(budget, points handed
+    over).  No run is drawn once the budget is spent, so it never charges
+    more than `budget` points, and it ran out when it charged exactly
+    `budget`, even if the scan was then done.  Only a search that ran out
+    returns BudgetExhausted, as BudgetExhausted(radius, budget), and one
+    that ran out and found neither the lower bound nor a point below eps
+    returns it, never Indeterminate.  A search that did not run out
+    returns what the reference returns."""
+    sizes = []
+    scan = cones.cone_runs
+
+    def counting_scan(*args, **kwargs):
+        for run in scan(*args, **kwargs):
+            sizes.append(run[1] - run[0] + 1)
             yield run
 
-    monkeypatch.setattr(cones, "capped_runs", counting_walk)
+    monkeypatch.setattr(cones, "cone_runs", counting_scan)
     monkeypatch.setattr(fibration, "_SEARCH_BUDGET", budget)
     exhausted = 0
     reported = 0
@@ -558,11 +582,12 @@ def test_relative_mld_budget_exhausted_matches_fraction_scan(monkeypatch, budget
         if charged == budget:
             exhausted += 1
             assert not isinstance(res, fibration.Indeterminate)
-        if isinstance(res, BudgetExhausted):
-            assert charged == budget
-            assert res == BudgetExhausted(radius, budget)
-            reported += 1
-        same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius, budget=budget))
+            if isinstance(res, BudgetExhausted):
+                assert res == BudgetExhausted(radius, budget)
+                reported += 1
+        else:
+            assert not isinstance(res, BudgetExhausted)
+            same(res, outcome(reference_relative_mld, f, b, tau, eps, radius=radius))
     assert exhausted >= 5
     assert reported >= 1
 
